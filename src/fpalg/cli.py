@@ -316,6 +316,8 @@ def _cmd_nf(args):
 
 
 def _cmd_hilbert(args):
+    if args.upto < 0:
+        raise ValueError("--upto must be >= 0")
     P = _load_presentation(args)
     maxdeg = args.maxdeg if args.maxdeg is not None else max(
         args.upto, P.max_relation_degree()

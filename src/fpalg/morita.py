@@ -294,6 +294,8 @@ def verify_fullness_certificate(e, MP, certificate, d):
 
 def corner_filtered_dims(e, MP, d):
     """Span dimensions of normal forms of e*w*e for |w| <= c, c = 0..d."""
+    if d < 0:
+        raise ValueError("corner degree must be >= 0")
     edeg = max(e.degree(), 1)
     gbdeg = max(d + 2 * edeg, 2 * edeg)
     gb = _groebner_for(MP, gbdeg)

@@ -13,14 +13,81 @@ ideals both directions are exact up to the truncation.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from typing import NamedTuple
 
-from .freealg import NCPoly, deglex_key, find_factor
+from .freealg import NCPoly, deglex_key, descending_key, find_factor
 from .presentation import Presentation
 from .scalars import MismatchError
+
+
+class ReductionIndex:
+    """Leading word -> (deglex key, word, monic poly) of a set of reducers.
+
+    find() answers "which reducer applies to this word" by looking up the
+    factors of the word, shortest first, instead of scanning every reducer.
+    Iterating yields (leading word, poly) pairs in ascending deglex order.
+    """
+
+    __slots__ = ("_by_word", "_lengths", "_per_length")
+
+    def __init__(self, entries=()):
+        self._by_word = {}
+        self._lengths = []  # distinct leading-word lengths, ascending
+        self._per_length = {}  # length -> number of leading words
+        for lw, g in entries:
+            if lw not in self._by_word:
+                self.add(lw, g)
+
+    def add(self, lw, g):
+        n = len(lw)
+        if n not in self._per_length:
+            bisect.insort(self._lengths, n)
+            self._per_length[n] = 0
+        self._per_length[n] += 1
+        self._by_word[lw] = (deglex_key(lw), lw, g)
+
+    def remove(self, lw):
+        del self._by_word[lw]
+        n = len(lw)
+        self._per_length[n] -= 1
+        if not self._per_length[n]:
+            del self._per_length[n]
+            self._lengths.remove(n)
+
+    def __len__(self):
+        return len(self._by_word)
+
+    def __iter__(self):
+        for _, lw, g in sorted(self._by_word.values(), key=lambda e: e[0]):
+            yield lw, g
+
+    def find(self, w, from_left):
+        """(leading word, poly, position) of the reducer for w, or None.
+
+        The reducer is the one with the deglex-smallest leading word that
+        occurs in w, taken at its leftmost or rightmost occurrence.
+        """
+        by_word = self._by_word
+        n = len(w)
+        for length in self._lengths:
+            if length > n:
+                return None
+            best = None
+            for i in range(n - length + 1):
+                hit = by_word.get(w[i : i + length])
+                if hit is None:
+                    continue
+                if best is None or hit[0] < best[0] or (
+                    hit is best and not from_left
+                ):
+                    best, pos = hit, i
+            if best is not None:
+                return best[1], best[2], pos
+        return None
 
 
 @dataclass(frozen=True)
@@ -33,9 +100,15 @@ class TruncatedGB:
     basis: tuple
     maxdeg: int
     complete_to: int
+    _index: ReductionIndex = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        index = ReductionIndex((g.leading_word(), g) for g in self.basis)
+        object.__setattr__(self, "_index", index)
 
     def entries(self):
-        return tuple((g.leading_word(), g) for g in self.basis)
+        """The basis as a reduction index, built once per basis."""
+        return self._index
 
     def leading_words(self):
         return tuple(g.leading_word() for g in self.basis)
@@ -78,28 +151,28 @@ class GenerationVerdict:
 
 
 def reduce_by_entries(f, entries, strategy="leftmost"):
-    """Fully reduce f by a list of (leading word, monic poly) pairs.
+    """Fully reduce f by (leading word, monic poly) pairs.
 
-    entries must be sorted by ascending deglex leading word; the first entry
-    whose leading word occurs in the currently largest reducible word is
-    applied, at its leftmost or rightmost occurrence per the strategy.
+    entries is a ReductionIndex, or pairs sorted by ascending deglex leading
+    word (indexed on the fly).  The largest remaining word is rewritten
+    first, by the entry with the deglex-smallest leading word occurring in
+    it, at the leftmost or rightmost occurrence per the strategy.
     """
     from_left = strategy == "leftmost"
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
+    if not isinstance(entries, ReductionIndex):
+        entries = ReductionIndex(entries)
     work = dict(f._terms)
+    pending = [descending_key(w) for w in work]
+    heapq.heapify(pending)
     out = {}
-    while work:
-        w = max(work, key=deglex_key)
+    while pending:
+        w = heapq.heappop(pending)[1]
+        if w not in work:
+            continue  # cancelled after it was queued
         c = work.pop(w)
-        hit = None
-        for lw, g in entries:
-            if len(lw) > len(w):
-                break
-            pos = find_factor(w, lw, from_left)
-            if pos >= 0:
-                hit = (lw, g, pos)
-                break
+        hit = entries.find(w, from_left)
         if hit is None:
             out[w] = c
             continue
@@ -118,6 +191,7 @@ def reduce_by_entries(f, entries, strategy="leftmost"):
                     del work[ww]
             else:
                 work[ww] = -delta
+                heapq.heappush(pending, descending_key(ww))
     return NCPoly._make(f.field, f.num_gens, out)
 
 
@@ -163,16 +237,10 @@ def groebner(P, maxdeg):
 
     live = {}          # seq -> monic poly
     lw_of = {}         # seq -> leading word
-    sorted_entries = []  # (lw, poly) ascending deglex, rebuilt on change
+    index = ReductionIndex()  # the live elements by leading word
     heap = []          # (deglex key of overlap word, lseq, rseq, a, b)
     work = deque(P.relations)
     seq_counter = 0
-
-    def rebuild_entries():
-        sorted_entries.clear()
-        sorted_entries.extend(
-            sorted(((lw_of[s], live[s]) for s in live), key=lambda e: deglex_key(e[0]))
-        )
 
     def push_overlaps(s1, s2):
         u, v = lw_of[s1], lw_of[s2]
@@ -189,7 +257,7 @@ def groebner(P, maxdeg):
             if ls not in live or rs not in live:
                 continue
             f = live[ls].mul_word((), b) - live[rs].mul_word(a, ())
-        f = reduce_by_entries(f, sorted_entries)
+        f = reduce_by_entries(f, index)
         if f.is_zero():
             continue
         f = f.monic()
@@ -199,13 +267,14 @@ def groebner(P, maxdeg):
         ]
         for s in sorted(displaced):
             work.append(live[s])
+            index.remove(lw_of[s])
             del live[s]
             del lw_of[s]
         seq = seq_counter
         seq_counter += 1
         live[seq] = f
         lw_of[seq] = new_lw
-        rebuild_entries()
+        index.add(new_lw, f)
         for s in sorted(live):
             push_overlaps(seq, s)
             if s != seq:
@@ -215,9 +284,9 @@ def groebner(P, maxdeg):
     final = []
     order = sorted(live, key=lambda s: deglex_key(lw_of[s]))
     for s in order:
-        others = [(lw_of[s2], live[s2]) for s2 in order if s2 != s]
-        others.sort(key=lambda e: deglex_key(e[0]))
-        final.append(reduce_by_entries(live[s], others))
+        index.remove(lw_of[s])
+        final.append(reduce_by_entries(live[s], index))
+        index.add(lw_of[s], live[s])
     return TruncatedGB(P.field, m, tuple(final), maxdeg, maxdeg)
 
 

@@ -5,6 +5,8 @@ the transcendental generators t1,...,tk, kept in a canonical reduced form:
 gcd(numerator, denominator) = 1 over Z[t1,...,tk] and the denominator has
 positive leading coefficient under graded-lex order with t1 < t2 < ... < tk.
 Equal field elements therefore always have identical representations.
+Over Q itself (k = 0) the numerator and denominator are plain Python ints
+reduced with math.gcd; the polynomial views are built only on request.
 
 Automorphisms are restricted to the invertible coefficient-field maps
 generated by generator permutations and per-generator affine maps
@@ -19,6 +21,7 @@ is provided for the brute-force congruence searches in the aalpha module.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -89,6 +92,8 @@ def _monomial_text(monomial, coeff):
 
 
 def _poly_text(poly):
+    if type(poly) is int:
+        return str(poly)
     if not poly:
         return "0"
     pieces = []
@@ -103,23 +108,46 @@ def _poly_text(poly):
     return text
 
 
-class Scalar:
-    """An element of Q(t1,...,tk) in canonical reduced form."""
+def _hash_terms(part):
+    # the (monomial, int coefficient) pairs of a numerator or denominator;
+    # an int part is the constant polynomial on the empty monomial
+    if type(part) is int:
+        return (((), part),) if part else ()
+    return tuple(sorted((m, int(c)) for m, c in part.items()))
 
-    __slots__ = ("field", "_num", "_den")
+
+class Scalar:
+    """An element of Q(t1,...,tk) in canonical reduced form.
+
+    For k >= 1 numerator and denominator are sympy integer polynomials; for
+    k = 0 they are Python ints.  Every method below accepts either form.
+    """
+
+    __slots__ = ("field", "_num", "_den", "_hash")
 
     def __init__(self, field, num, den):
         # internal constructor; use the classmethods or arithmetic instead
         self.field = field
         self._num = num
         self._den = den
+        self._hash = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
     def _make(cls, field, num, den):
+        if den == 1:
+            # already canonical: gcd(num, 1) = 1 and the sign is positive
+            return cls(field, num, den)
         if not den:
             raise ZeroDivisionError("zero denominator")
+        if type(den) is int:
+            if not num:
+                return cls(field, 0, 1)
+            g = math.gcd(num, den)
+            if den < 0:
+                g = -g
+            return cls(field, num // g, den // g)
         R = _int_ring(field.num_generators)
         if not num:
             return cls(field, R.zero, R.one)
@@ -132,12 +160,16 @@ class Scalar:
 
     @classmethod
     def from_int(cls, field, value):
+        if not field.num_generators:
+            return cls(field, operator.index(value), 1)
         R = _int_ring(field.num_generators)
         return cls(field, R(value), R.one)
 
     @classmethod
     def from_fraction(cls, field, value):
         value = Fraction(value)
+        if not field.num_generators:
+            return cls(field, value.numerator, value.denominator)
         R = _int_ring(field.num_generators)
         return cls._make(field, R(value.numerator), R(value.denominator))
 
@@ -161,11 +193,15 @@ class Scalar:
     @property
     def numerator(self):
         """Canonical integer-coefficient numerator polynomial (read-only)."""
+        if type(self._num) is int:
+            return _int_ring(0)(self._num)
         return self._num
 
     @property
     def denominator(self):
         """Canonical integer-coefficient denominator polynomial (read-only)."""
+        if type(self._den) is int:
+            return _int_ring(0)(self._den)
         return self._den
 
     def __bool__(self):
@@ -175,19 +211,13 @@ class Scalar:
         return not self._num
 
     def is_one(self):
-        R = _int_ring(self.field.num_generators)
-        return self._num == R.one and self._den == R.one
+        return self._den == 1 and self._num == 1
 
     def as_integer(self):
         """The value as a Python int when it is an integer constant, else None."""
-        if self._den != _int_ring(self.field.num_generators).one:
+        if self._den != 1:
             return None
-        if not self._num:
-            return 0
-        items = list(self._num.items())
-        if len(items) == 1 and not any(items[0][0]):
-            return int(items[0][1])
-        return None
+        return _constant_of(self._num)
 
     def as_fraction(self):
         """The value as a Fraction when constant, else None."""
@@ -197,10 +227,13 @@ class Scalar:
             return None
         return Fraction(n, d)
 
+    def _polys(self):
+        return [p for p in (self._num, self._den) if type(p) is not int]
+
     def support_indices(self):
         """Set of generator indices occurring in numerator or denominator."""
         out = set()
-        for poly in (self._num, self._den):
+        for poly in self._polys():
             for monomial in poly.keys():
                 for i, e in enumerate(monomial):
                     if e:
@@ -211,7 +244,7 @@ class Scalar:
         """Generator indices in canonical visit order: numerator before
         denominator, monomials in descending graded-lex order, variables
         within a monomial by descending exponent then ascending index."""
-        for poly in (self._num, self._den):
+        for poly in self._polys():
             for monomial in sorted(poly.keys(), key=_grlex_key, reverse=True):
                 idxs = [i for i, e in enumerate(monomial) if e]
                 idxs.sort(key=lambda i: (-monomial[i], i))
@@ -271,18 +304,16 @@ class Scalar:
         )
 
     def __hash__(self):
-        return hash(
-            (
-                self.field,
-                tuple(sorted((m, int(c)) for m, c in self._num.items())),
-                tuple(sorted((m, int(c)) for m, c in self._den.items())),
+        if self._hash is None:
+            self._hash = hash(
+                (self.field, _hash_terms(self._num), _hash_terms(self._den))
             )
-        )
+        return self._hash
 
     # -- text ----------------------------------------------------------------
 
     def __str__(self):
-        if self._den == _int_ring(self.field.num_generators).one:
+        if self._den == 1:
             return _poly_text(self._num)
         return f"({_poly_text(self._num)})/({_poly_text(self._den)})"
 
@@ -291,6 +322,8 @@ class Scalar:
 
 
 def _constant_of(poly):
+    if type(poly) is int:
+        return poly
     if not poly:
         return 0
     items = list(poly.items())

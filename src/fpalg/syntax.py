@@ -45,8 +45,14 @@ _TOKEN_RE = re.compile(
 )
 
 
+# Scalar expressions are parsed recursively; deeper nesting is refused with a
+# ParseError long before the interpreter's recursion limit is reached.
+MAX_SCALAR_NESTING = 100
+
+
 class _Tokens:
     def __init__(self, text):
+        self.depth = 0  # scalar factors currently being parsed
         self.tokens = []
         line, col = 1, 1
         pos = 0
@@ -133,6 +139,15 @@ def _parse_scalar_term(tokens, field):
 
 
 def _parse_scalar_factor(tokens, field):
+    if tokens.depth >= MAX_SCALAR_NESTING:
+        tokens.error(f"scalar nested deeper than {MAX_SCALAR_NESTING} levels")
+    tokens.depth += 1
+    value = _parse_scalar_factor_body(tokens, field)
+    tokens.depth -= 1
+    return value
+
+
+def _parse_scalar_factor_body(tokens, field):
     kind, value, line, col = tokens.peek()
     if value in ("-", "+"):
         tokens.next()

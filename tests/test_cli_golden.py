@@ -3,10 +3,14 @@
 import contextlib
 import io
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import fpalg
 from fpalg import parse_presentation, presentation_to_text
 from fpalg.cli import run
 
@@ -45,6 +49,53 @@ def test_every_verb_covered():
 
     seen = {case["argv"][0] for case in CASES}
     assert seen == set(_HANDLERS)
+
+
+def test_deeply_nested_scalar_is_a_parse_error():
+    deep = "(" * 1000 + "1" + ")" * 1000
+    code, out, err = run_cli(["aalpha-iso", "--alpha", deep, "--beta", "1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("parse error:")
+    assert "Traceback" not in err
+
+
+# Runs every golden case through fpalg.cli.run in one fresh interpreter and
+# prints (exit code, stdout, stderr) per case as JSON.
+_GOLDEN_RUNNER = """
+import contextlib, io, json, sys
+from fpalg.cli import run
+results = []
+for argv in json.loads(sys.stdin.read()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(results))
+"""
+
+
+def _golden_in_subprocess(hash_seed):
+    src = pathlib.Path(fpalg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONHASHSEED=str(hash_seed))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _GOLDEN_RUNNER],
+        input=json.dumps([substituted(case) for case in CASES]).encode(),
+        env=env,
+        capture_output=True,
+        timeout=300,
+        check=True,
+    )
+    return proc.stdout
+
+
+def test_golden_bytes_independent_of_hash_seed():
+    first, second = _golden_in_subprocess(0), _golden_in_subprocess(1)
+    assert first == second
+    for case, (code, out, _) in zip(CASES, json.loads(first), strict=True):
+        assert code == case["exit"], case["name"]
+        assert out == (GOLDEN / f"{case['name']}.out").read_text(), case["name"]
 
 
 @pytest.mark.parametrize(

@@ -14,6 +14,7 @@ from fpalg import (
     invert,
     scalar_arith,
 )
+from fpalg.scalars import _int_ring
 from randgen import rich_scalar
 
 Q = FieldSpec(0)
@@ -194,3 +195,109 @@ class TestModScalar:
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
             ModScalar(1, 5) / ModScalar(0, 5)
+
+
+def _poly_backed(n, d):
+    """A Q scalar held as sympy polynomials and canonicalized through the
+    polynomial gcd path, as every Q scalar was before the int form."""
+    R = _int_ring(0)
+    return Scalar._make(Q, R(n), R(d))
+
+
+def _reference_hash(field, num_poly, den_poly):
+    # the hash value of a scalar, spelled out on its polynomial form
+    return hash(
+        (
+            field,
+            tuple(sorted((m, int(c)) for m, c in num_poly.items())),
+            tuple(sorted((m, int(c)) for m, c in den_poly.items())),
+        )
+    )
+
+
+class TestRationalRepresentation:
+    """Q scalars are int-backed; every view must match the polynomial form."""
+
+    PAIRS = [(0, 1), (0, -7), (1, 1), (-1, 1), (5, 1), (-12, 1), (6, -4),
+             (-3, 9), (10**30 + 7, 3 * 10**12), (7, 7), (2, -1)]
+
+    def assert_parity(self, a, p):
+        assert type(a._num) is int and type(a._den) is int
+        assert type(p._num) is not int
+        assert str(a) == str(p)
+        assert repr(a) == repr(p)
+        assert a.as_integer() == p.as_integer()
+        assert a.as_fraction() == p.as_fraction()
+        assert a.numerator == p.numerator and a.denominator == p.denominator
+        assert dict(a.numerator) == dict(p.numerator)
+        assert dict(a.denominator) == dict(p.denominator)
+        assert a == p and p == a
+        assert hash(a) == hash(p) == _reference_hash(Q, p.numerator, p.denominator)
+        assert a.support_indices() == p.support_indices() == frozenset()
+        assert list(a.support_traversal()) == list(p.support_traversal()) == []
+        assert bool(a) == bool(p) and a.is_zero() == p.is_zero()
+        assert a.is_one() == p.is_one()
+
+    def test_constructors_match_polynomial_path(self):
+        for n, d in self.PAIRS:
+            if d == 0:
+                continue
+            a = Scalar.from_fraction(Q, Fraction(n, d))
+            self.assert_parity(a, _poly_backed(n, d))
+            if d == 1:
+                self.assert_parity(Scalar.from_int(Q, n), _poly_backed(n, 1))
+
+    def test_arithmetic_matches_polynomial_path(self):
+        rng = random.Random(31)
+        for _ in range(300):
+            n1, n2 = rng.randint(-40, 40), rng.randint(-40, 40)
+            d1, d2 = rng.choice((1, 1, 2, -3, 6, 35)), rng.choice((1, 4, -9, 10))
+            a, b = Scalar.from_fraction(Q, Fraction(n1, d1)), Scalar.from_fraction(Q, Fraction(n2, d2))
+            p, q = _poly_backed(n1, d1), _poly_backed(n2, d2)
+            self.assert_parity(a + b, p + q)
+            self.assert_parity(a - b, p - q)
+            self.assert_parity(a * b, p * q)
+            self.assert_parity(-a, -p)
+            self.assert_parity(a ** 3, p ** 3)
+            if b:
+                self.assert_parity(a / b, p / q)
+                self.assert_parity(b ** -2, q ** -2)
+
+    def test_mixed_representations_compare_equal(self):
+        a = Scalar.from_fraction(Q, Fraction(-3, 2))
+        assert a in {_poly_backed(6, -4)}
+        assert _poly_backed(6, -4) in {a}
+        assert a != _poly_backed(3, 2)
+
+    def test_zero_denominator(self):
+        with pytest.raises(ZeroDivisionError):
+            Scalar._make(Q, 1, 0)
+        with pytest.raises(ZeroDivisionError):
+            Scalar.one(Q) / Scalar.zero(Q)
+
+
+class TestCachedHash:
+    def test_hash_value_unchanged_and_stable(self):
+        rng = random.Random(37)
+        for field in (QT, QT2):
+            for _ in range(100):
+                a = rich_scalar(rng, field)
+                expected = _reference_hash(field, a.numerator, a.denominator)
+                assert hash(a) == expected
+                assert hash(a) == expected  # served from the cache
+
+    def test_equal_values_share_hash(self):
+        t = Scalar.generator(QT, 0)
+        one = Scalar.one(QT)
+        a = (t ** 2 - one) / (t - one)
+        hash(a)
+        assert hash(a) == hash(t + one)
+        assert len({a, t + one}) == 1
+
+    def test_denominator_one_skips_gcd_but_stays_canonical(self):
+        t = Scalar.generator(QT2, 0)
+        u = Scalar.generator(QT2, 1)
+        a = (t * u - u) * (t + u)  # every step has denominator 1
+        assert a.denominator == 1
+        assert a == (t * u - u) / (t - Scalar.one(QT2)) * (t - Scalar.one(QT2)) * (t + u)
+        assert str(a) == str((t + u) * (t * u - u))

@@ -35,6 +35,17 @@ class TestScalarParsing:
         with pytest.raises(ParseError):
             parse_scalar("t", FieldSpec(2))
 
+    def test_nesting_limit(self):
+        from fpalg.syntax import MAX_SCALAR_NESTING
+
+        depth = MAX_SCALAR_NESTING - 1
+        assert parse_scalar("(" * depth + "3" + ")" * depth, Q) == Scalar.from_int(Q, 3)
+        for text in ("(" * 1000 + "1" + ")" * 1000, "-" * 1000 + "1", "(-" * 600 + "1"):
+            with pytest.raises(ParseError, match="nested deeper"):
+                parse_scalar(text, Q)
+        with pytest.raises(ParseError, match="nested deeper"):
+            parse_poly("(" * 1000 + "2" + ")" * 1000 + "*x1", Q, ("x1",))
+
     def test_unary_minus_and_powers(self):
         assert parse_scalar("-2^3", Q) == Scalar.from_int(Q, -8)
 
