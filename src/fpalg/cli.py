@@ -513,7 +513,7 @@ def run(argv=None):
     except DegreeBudgetError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return UNDECIDED
-    except (ValueError, MismatchError, ZeroDivisionError, TypeError) as exc:
+    except (ValueError, MismatchError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
 

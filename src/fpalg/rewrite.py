@@ -213,19 +213,17 @@ def normal_form(f, gb, strategy="leftmost"):
 # ---------------------------------------------------------------------------
 
 
-def _proper_overlaps(u, v):
-    """Yield (a, b) for each overlap word a + v = u + b, nonempty shared part."""
-    for shared in range(1, min(len(u), len(v))):
-        if u[len(u) - shared:] == v[:shared]:
-            yield u[: len(u) - shared], v[shared:]
-
-
 def groebner(P, maxdeg):
     """Reduced truncated Groebner basis of P's relation ideal.
 
     Deterministic: initial relations are incorporated in list order, then
     pending S-elements by ascending deglex of the overlap word with ties by
     the creation order of the two parents.
+
+    Overlap candidates come from two tables that map each proper prefix and
+    each proper suffix of a live leading word to the elements carrying it:
+    a new leading word L overlaps u exactly where a proper suffix of L is a
+    proper prefix of u, or a proper prefix of L a proper suffix of u.
     """
     if not isinstance(P, Presentation):
         raise TypeError("groebner expects a Presentation")
@@ -238,16 +236,38 @@ def groebner(P, maxdeg):
     live = {}          # seq -> monic poly
     lw_of = {}         # seq -> leading word
     index = ReductionIndex()  # the live elements by leading word
+    by_prefix = {}     # proper prefix -> seqs whose leading word starts with it
+    by_suffix = {}     # proper suffix -> seqs whose leading word ends with it
     heap = []          # (deglex key of overlap word, lseq, rseq, a, b)
     work = deque(P.relations)
     seq_counter = 0
 
-    def push_overlaps(s1, s2):
-        u, v = lw_of[s1], lw_of[s2]
-        for a, b in _proper_overlaps(u, v):
-            w = u + b
-            if len(w) <= maxdeg:
-                heapq.heappush(heap, (deglex_key(w), s1, s2, a, b))
+    def link(seq, lw):
+        for cut in range(1, len(lw)):
+            by_prefix.setdefault(lw[:cut], set()).add(seq)
+            by_suffix.setdefault(lw[cut:], set()).add(seq)
+
+    def unlink(seq, lw):
+        for cut in range(1, len(lw)):
+            for table, part in ((by_prefix, lw[:cut]), (by_suffix, lw[cut:])):
+                seqs = table[part]
+                seqs.discard(seq)
+                if not seqs:
+                    del table[part]
+
+    def push_overlaps(seq, lw):
+        # each overlap word a + v = u + b with seq as u or as v, self included
+        n = len(lw)
+        for shared in range(1, n):
+            for s in by_prefix.get(lw[n - shared:], ()):
+                b = lw_of[s][shared:]
+                if n + len(b) <= maxdeg:
+                    heapq.heappush(heap, (deglex_key(lw + b), seq, s, lw[: n - shared], b))
+            b = lw[shared:]
+            for s in by_suffix.get(lw[:shared], ()):
+                u = lw_of[s]
+                if s != seq and len(u) + len(b) <= maxdeg:
+                    heapq.heappush(heap, (deglex_key(u + b), s, seq, u[: len(u) - shared], b))
 
     while work or heap:
         if work:
@@ -262,12 +282,15 @@ def groebner(P, maxdeg):
             continue
         f = f.monic()
         new_lw = f.leading_word()
+        # f is reduced, so new_lw can only be a factor of longer leading words
         displaced = [
-            s for s in live if find_factor(lw_of[s], new_lw) >= 0
+            s for s in live
+            if len(lw_of[s]) > len(new_lw) and find_factor(lw_of[s], new_lw) >= 0
         ]
         for s in sorted(displaced):
             work.append(live[s])
             index.remove(lw_of[s])
+            unlink(s, lw_of[s])
             del live[s]
             del lw_of[s]
         seq = seq_counter
@@ -275,10 +298,8 @@ def groebner(P, maxdeg):
         live[seq] = f
         lw_of[seq] = new_lw
         index.add(new_lw, f)
-        for s in sorted(live):
-            push_overlaps(seq, s)
-            if s != seq:
-                push_overlaps(s, seq)
+        link(seq, new_lw)
+        push_overlaps(seq, new_lw)
 
     # tails into normal form against the other elements
     final = []

@@ -5,8 +5,12 @@ the transcendental generators t1,...,tk, kept in a canonical reduced form:
 gcd(numerator, denominator) = 1 over Z[t1,...,tk] and the denominator has
 positive leading coefficient under graded-lex order with t1 < t2 < ... < tk.
 Equal field elements therefore always have identical representations.
-Over Q itself (k = 0) the numerator and denominator are plain Python ints
-reduced with math.gcd; the polynomial views are built only on request.
+A part (numerator or denominator) is held as a plain Python int exactly when
+it is a constant, in every field, and as a sympy polynomial otherwise.  Over
+Q (k = 0) both parts are always ints reduced with math.gcd; over Q(t1..tk)
+the matrix-unit and commutation coefficients +-1 stay ints too, and a
+polynomial part meets an int one through math.gcd on its content.  The
+polynomial views are built only on request.
 
 Automorphisms are restricted to the invertible coefficient-field maps
 generated by generator permutations and per-generator affine maps
@@ -108,19 +112,30 @@ def _poly_text(poly):
     return text
 
 
-def _hash_terms(part):
+def _hash_terms(part, k):
     # the (monomial, int coefficient) pairs of a numerator or denominator;
-    # an int part is the constant polynomial on the empty monomial
+    # an int part is the constant polynomial on the zero monomial
     if type(part) is int:
-        return (((), part),) if part else ()
+        return (((0,) * k, part),) if part else ()
     return tuple(sorted((m, int(c)) for m, c in part.items()))
+
+
+def _demote(part):
+    """A constant polynomial as its int value; others unchanged."""
+    if len(part) > 1:
+        return part
+    if not part:
+        return 0
+    ((monomial, coeff),) = part.items()
+    return part if any(monomial) else int(coeff)
 
 
 class Scalar:
     """An element of Q(t1,...,tk) in canonical reduced form.
 
-    For k >= 1 numerator and denominator are sympy integer polynomials; for
-    k = 0 they are Python ints.  Every method below accepts either form.
+    Numerator and denominator are Python ints when constant and sympy
+    integer polynomials otherwise, for every k.  Every method below accepts
+    either form.
     """
 
     __slots__ = ("field", "_num", "_den", "_hash")
@@ -138,47 +153,50 @@ class Scalar:
     def _make(cls, field, num, den):
         if den == 1:
             # already canonical: gcd(num, 1) = 1 and the sign is positive
-            return cls(field, num, den)
+            return cls(field, num if type(num) is int else _demote(num), 1)
+        if type(num) is not int:
+            num = _demote(num)
+        if type(den) is not int:
+            den = _demote(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
+        if not num:
+            return cls(field, 0, 1)
+        # a constant part shares only the content of the other part
         if type(den) is int:
-            if not num:
-                return cls(field, 0, 1)
-            g = math.gcd(num, den)
+            if type(num) is int:
+                g = math.gcd(num, den)
+                if den < 0:
+                    g = -g
+                return cls(field, num // g, den // g)
+            g = math.gcd(den, *num.values())
             if den < 0:
                 g = -g
-            return cls(field, num // g, den // g)
-        R = _int_ring(field.num_generators)
-        if not num:
-            return cls(field, R.zero, R.one)
-        g = num.gcd(den)
-        num = num.exquo(g)
-        den = den.exquo(g)
+            return cls(field, num.quo_ground(g), den // g)
+        if type(num) is int:
+            g = math.gcd(num, *den.values())
+            if _leading_coeff(den) < 0:
+                g = -g
+            return cls(field, num // g, den.quo_ground(g))
+        _, num, den = num.cofactors(den)
         if _leading_coeff(den) < 0:
             num, den = -num, -den
-        return cls(field, num, den)
+        return cls(field, _demote(num), _demote(den))
 
     @classmethod
     def from_int(cls, field, value):
-        if not field.num_generators:
-            return cls(field, operator.index(value), 1)
-        R = _int_ring(field.num_generators)
-        return cls(field, R(value), R.one)
+        return cls(field, operator.index(value), 1)
 
     @classmethod
     def from_fraction(cls, field, value):
         value = Fraction(value)
-        if not field.num_generators:
-            return cls(field, value.numerator, value.denominator)
-        R = _int_ring(field.num_generators)
-        return cls._make(field, R(value.numerator), R(value.denominator))
+        return cls(field, value.numerator, value.denominator)
 
     @classmethod
     def generator(cls, field, index):
         if not 0 <= index < field.num_generators:
             raise ValueError(f"generator index {index} outside {field}")
-        R = _int_ring(field.num_generators)
-        return cls(field, R.gens[index], R.one)
+        return cls(field, _int_ring(field.num_generators).gens[index], 1)
 
     @classmethod
     def zero(cls, field):
@@ -194,14 +212,14 @@ class Scalar:
     def numerator(self):
         """Canonical integer-coefficient numerator polynomial (read-only)."""
         if type(self._num) is int:
-            return _int_ring(0)(self._num)
+            return _int_ring(self.field.num_generators)(self._num)
         return self._num
 
     @property
     def denominator(self):
         """Canonical integer-coefficient denominator polynomial (read-only)."""
         if type(self._den) is int:
-            return _int_ring(0)(self._den)
+            return _int_ring(self.field.num_generators)(self._den)
         return self._den
 
     def __bool__(self):
@@ -305,8 +323,9 @@ class Scalar:
 
     def __hash__(self):
         if self._hash is None:
+            k = self.field.num_generators
             self._hash = hash(
-                (self.field, _hash_terms(self._num), _hash_terms(self._den))
+                (self.field, _hash_terms(self._num, k), _hash_terms(self._den, k))
             )
         return self._hash
 
@@ -468,8 +487,8 @@ def apply_automorphism(sigma, a):
     if sigma.field != a.field:
         raise MismatchError(f"field mismatch: {sigma.field} vs {a.field}")
     k = sigma.field.num_generators
-    if k == 0 or sigma.is_identity():
-        return a
+    if (type(a._num) is int and type(a._den) is int) or sigma.is_identity():
+        return a  # constants are fixed by every automorphism
     Rq = _rat_ring(k)
     images = []
     for (j, fa, fb) in sigma.forward:
@@ -481,6 +500,8 @@ def apply_automorphism(sigma, a):
 
 
 def _substitute(poly, images, Rq):
+    if type(poly) is int:
+        return Rq(poly)
     acc = Rq.zero
     for monomial, coeff in poly.items():
         term = Rq(int(coeff))

@@ -60,6 +60,18 @@ def test_deeply_nested_scalar_is_a_parse_error():
     assert "Traceback" not in err
 
 
+def test_type_error_in_a_handler_propagates(monkeypatch):
+    # a TypeError is a programming error, not a user error: no exit 2
+    from fpalg import cli
+
+    def broken(args):
+        raise TypeError("handler bug")
+
+    monkeypatch.setitem(cli._HANDLERS, "print", broken)
+    with pytest.raises(TypeError, match="handler bug"):
+        run_cli(["print", "--file", str(GOLDEN / "inputs" / "aalpha_t.alg")])
+
+
 # Runs every golden case through fpalg.cli.run in one fresh interpreter and
 # prints (exit code, stdout, stderr) per case as JSON.
 _GOLDEN_RUNNER = """

@@ -197,11 +197,12 @@ class TestModScalar:
             ModScalar(1, 5) / ModScalar(0, 5)
 
 
-def _poly_backed(n, d):
-    """A Q scalar held as sympy polynomials and canonicalized through the
-    polynomial gcd path, as every Q scalar was before the int form."""
+def _poly_backed(n, d=1):
+    """The Q scalar n/d held as sympy polynomials, as every Q scalar was
+    before the int form; its parts come from the reduced Fraction."""
+    value = Fraction(n, d)
     R = _int_ring(0)
-    return Scalar._make(Q, R(n), R(d))
+    return Scalar(Q, R(value.numerator), R(value.denominator))
 
 
 def _reference_hash(field, num_poly, den_poly):
@@ -216,7 +217,8 @@ def _reference_hash(field, num_poly, den_poly):
 
 
 class TestRationalRepresentation:
-    """Q scalars are int-backed; every view must match the polynomial form."""
+    """Q scalars are int-backed; every view must match the polynomial form
+    and arithmetic must match Fraction arithmetic."""
 
     PAIRS = [(0, 1), (0, -7), (1, 1), (-1, 1), (5, 1), (-12, 1), (6, -4),
              (-3, 9), (10**30 + 7, 3 * 10**12), (7, 7), (2, -1)]
@@ -253,15 +255,15 @@ class TestRationalRepresentation:
             n1, n2 = rng.randint(-40, 40), rng.randint(-40, 40)
             d1, d2 = rng.choice((1, 1, 2, -3, 6, 35)), rng.choice((1, 4, -9, 10))
             a, b = Scalar.from_fraction(Q, Fraction(n1, d1)), Scalar.from_fraction(Q, Fraction(n2, d2))
-            p, q = _poly_backed(n1, d1), _poly_backed(n2, d2)
-            self.assert_parity(a + b, p + q)
-            self.assert_parity(a - b, p - q)
-            self.assert_parity(a * b, p * q)
-            self.assert_parity(-a, -p)
-            self.assert_parity(a ** 3, p ** 3)
+            p, q = Fraction(n1, d1), Fraction(n2, d2)
+            self.assert_parity(a + b, _poly_backed(p + q))
+            self.assert_parity(a - b, _poly_backed(p - q))
+            self.assert_parity(a * b, _poly_backed(p * q))
+            self.assert_parity(-a, _poly_backed(-p))
+            self.assert_parity(a ** 3, _poly_backed(p ** 3))
             if b:
-                self.assert_parity(a / b, p / q)
-                self.assert_parity(b ** -2, q ** -2)
+                self.assert_parity(a / b, _poly_backed(p / q))
+                self.assert_parity(b ** -2, _poly_backed(q ** -2))
 
     def test_mixed_representations_compare_equal(self):
         a = Scalar.from_fraction(Q, Fraction(-3, 2))
