@@ -11,7 +11,6 @@ idempotent machinery.
 """
 
 from .aalpha import (
-    BilinearForm2,
     CongruenceDecision,
     CongruenceWitness,
     congruence_check,
@@ -19,14 +18,12 @@ from .aalpha import (
     form_of,
     iso_aalpha,
     iso_witness,
-    linear_constraint_matrix,
     make_aalpha,
     orbit_sample,
     search_iso_degree2,
     verify_iso_witness,
 )
-from .freealg import NCPoly, deglex_key, poly_arith, word_compare
-from .linalg import fraction_free_rank, scalar_matrix_rank
+from .freealg import NCPoly, deglex_key
 from .morita import (
     DegreeBudgetError,
     FullnessVerdict,
@@ -35,16 +32,13 @@ from .morita import (
     filtered_dimension,
     is_full_idempotent,
     matrix_presentation,
-    twist_matrix_commutes,
     verify_fullness_certificate,
     verify_idempotent,
 )
 from .presentation import (
     Presentation,
     canonicalize,
-    free_presentation,
     is_over_subfield,
-    presentations_equal,
     transcendental_support,
     twist,
 )
@@ -68,7 +62,6 @@ from .scalars import (
     apply_automorphism,
     compose,
     invert,
-    scalar_arith,
 )
 from .syntax import (
     ParseError,

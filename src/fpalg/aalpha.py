@@ -67,21 +67,6 @@ def mat2_identity(like):
 
 
 @dataclass(frozen=True)
-class BilinearForm2:
-    """A 2x2 coefficient form of a quadratic expression in x1, x2."""
-
-    entries: tuple
-
-    def quadratic(self, field, num_gens=2):
-        """The polynomial sum of entries[i][j] * x_(i+1) * x_(j+1)."""
-        pairs = []
-        for i in range(2):
-            for j in range(2):
-                pairs.append(((i, j), self.entries[i][j]))
-        return NCPoly.from_terms(field, num_gens, pairs)
-
-
-@dataclass(frozen=True)
 class CongruenceWitness:
     """An invertible change of basis Q and a nonzero scale gamma."""
 
@@ -116,27 +101,13 @@ def make_aalpha(alpha):
 def form_of(alpha):
     """The coefficient form (1 alpha; 0 1) of the defining relation."""
     one, zero = one_like(alpha), zero_like(alpha)
-    return BilinearForm2(mat2(one, alpha, zero, one))
-
-
-def linear_constraint_matrix(beta, q):
-    """The product (2 beta; beta 2) * Q.
-
-    Its transpose rows are the coefficients of the two linear equations that
-    the constant parts of a candidate generator pair must satisfy; the left
-    factor is singular exactly when beta = +-2.
-    """
-    one = one_like(beta)
-    two = one + one
-    return mat2_mul(mat2(two, beta, beta, two), q)
+    return mat2(one, alpha, zero, one)
 
 
 def congruence_check(alpha, beta, witness):
     """Exact test of Q^T * (1 beta; 0 1) * Q = gamma * (1 alpha; 0 1)."""
-    lhs = mat2_mul(
-        mat2_mul(mat2_transpose(witness.q), form_of(beta).entries), witness.q
-    )
-    rhs = mat2_scale(witness.gamma, form_of(alpha).entries)
+    lhs = mat2_mul(mat2_mul(mat2_transpose(witness.q), form_of(beta)), witness.q)
+    rhs = mat2_scale(witness.gamma, form_of(alpha))
     return lhs == rhs
 
 

@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 parse error, 2 semantic error, 3 verdict undecided
-at the requested bound.  Output is deterministic; --emit data switches the
-relevant commands to a stable JSON rendering.
+at the requested bound.  Output is deterministic; --emit data switches any
+command to a stable JSON rendering.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import sys
 
 from .aalpha import (
     decide_form_congruence,
-    iso_aalpha,
     iso_witness,
     orbit_sample,
     search_iso_degree2,
@@ -40,7 +39,7 @@ from .rewrite import (
     is_generating,
     normal_form,
 )
-from .scalars import FieldSpec, MismatchError
+from .scalars import FieldSpec, MismatchError, signed_sum_text, term_text
 from .syntax import (
     ParseError,
     parse_automorphism,
@@ -173,10 +172,10 @@ def _build_parser():
 
 
 def _load_presentation(args):
-    if getattr(args, "file", None):
+    if args.file is not None:
         with open(args.file, encoding="utf-8") as handle:
             return parse_presentation(handle.read())
-    if getattr(args, "pres", None):
+    if args.pres is not None:
         return parse_presentation(args.pres)
     return None
 
@@ -198,105 +197,62 @@ def _detect_field(texts, override):
     return FieldSpec(k)
 
 
-def _emit_data(payload):
-    print(json.dumps(payload, sort_keys=True))
-
-
-def _print_presentation(P, emit):
-    if emit == "data":
-        _emit_data(presentation_to_data(P))
-    else:
-        print(presentation_to_text(P))
-
-
 def _certificate_text(certificate, names):
-    pieces = []
-    for (u, v), coeff in certificate:
-        factors = [*(names[g] for g in u), "e", *(names[g] for g in v)]
-        body = "*".join(factors)
-        n = coeff.as_integer()
-        if n == 1:
-            pieces.append(body)
-        elif n == -1:
-            pieces.append("-" + body)
-        elif n is not None:
-            pieces.append(f"{n}*{body}")
-        else:
-            pieces.append(f"({coeff})*{body}")
-    text = pieces[0]
-    for piece in pieces[1:]:
-        if piece.startswith("-"):
-            text += " - " + piece[1:]
-        else:
-            text += " + " + piece
-    return text
+    return signed_sum_text([
+        term_text(coeff, "*".join([*(names[g] for g in u), "e", *(names[g] for g in v)]))
+        for (u, v), coeff in certificate
+    ])
 
 
 # -- handlers ----------------------------------------------------------------
+# Each returns (exit code, payload for --emit data, lines for --emit text).
+
+
+def _presentation_result(P):
+    return 0, presentation_to_data(P), [presentation_to_text(P)]
 
 
 def _cmd_parse(args):
     P = _load_presentation(args)
-    if args.emit == "data":
-        _emit_data(presentation_to_data(P))
-    else:
-        print(
-            f"ok: {P.name} field={P.field} generators={P.num_gens} "
-            f"relations={len(P.relations)}"
-        )
-    return 0
+    line = (
+        f"ok: {P.name} field={P.field} generators={P.num_gens} "
+        f"relations={len(P.relations)}"
+    )
+    return 0, presentation_to_data(P), [line]
 
 
 def _cmd_print(args):
-    _print_presentation(_load_presentation(args), args.emit)
-    return 0
+    return _presentation_result(_load_presentation(args))
 
 
 def _cmd_support(args):
-    P = _load_presentation(args)
-    support = transcendental_support(P)
-    if args.emit == "data":
-        _emit_data({"support": [i + 1 for i in support]})
-    else:
-        print(" ".join(f"t{i + 1}" for i in support) if support else "none")
-    return 0
+    support = transcendental_support(_load_presentation(args))
+    text = " ".join(f"t{i + 1}" for i in support) if support else "none"
+    return 0, {"support": [i + 1 for i in support]}, [text]
 
 
 def _cmd_canonicalize(args):
-    P = _load_presentation(args)
-    P0, sigma = canonicalize(P)
-    if args.emit == "data":
-        _emit_data(
-            {"presentation": presentation_to_data(P0), "sigma": str(sigma)}
-        )
-    else:
-        print(presentation_to_text(P0))
-        print(f"sigma: {sigma}")
-    return 0
+    P0, sigma = canonicalize(_load_presentation(args))
+    payload = {"presentation": presentation_to_data(P0), "sigma": str(sigma)}
+    return 0, payload, [presentation_to_text(P0), f"sigma: {sigma}"]
 
 
 def _cmd_twist(args):
     P = _load_presentation(args)
     sigma = parse_automorphism(args.auto, P.field)
-    _print_presentation(twist(P, sigma), args.emit)
-    return 0
+    return _presentation_result(twist(P, sigma))
 
 
 def _cmd_gb(args):
     P = _load_presentation(args)
     gb = groebner(P, args.maxdeg)
-    if args.emit == "data":
-        _emit_data(
-            {
-                "complete_to": gb.complete_to,
-                "basis": [poly_to_data(g) for g in gb.basis],
-            }
-        )
-        return 0
-    print(f"complete_to: {gb.complete_to}")
-    for g in gb.basis:
-        print(g.to_text(P.generators))
-    return 0
+    payload = {
+        "complete_to": gb.complete_to,
+        "basis": [poly_to_data(g) for g in gb.basis],
+    }
+    lines = [f"complete_to: {gb.complete_to}"]
+    lines += [g.to_text(P.generators) for g in gb.basis]
+    return 0, payload, lines
 
 
 def _cmd_nf(args):
@@ -304,15 +260,11 @@ def _cmd_nf(args):
     f = parse_poly(args.expr, P.field, P.generators)
     gb = groebner(P, args.maxdeg)
     result = normal_form(f, gb)
-    if args.emit == "data":
-        _emit_data(
-            {"normal_form": poly_to_data(result.poly), "verified": result.verified}
-        )
-    else:
-        print(result.poly.to_text(P.generators))
-        if not result.verified:
-            print(f"unverified: degree exceeds complete_to {gb.complete_to}")
-    return 0 if result.verified else UNDECIDED
+    payload = {"normal_form": poly_to_data(result.poly), "verified": result.verified}
+    lines = [result.poly.to_text(P.generators)]
+    if not result.verified:
+        lines.append(f"unverified: degree exceeds complete_to {gb.complete_to}")
+    return (0 if result.verified else UNDECIDED), payload, lines
 
 
 def _cmd_hilbert(args):
@@ -323,25 +275,16 @@ def _cmd_hilbert(args):
         args.upto, P.max_relation_degree()
     )
     dims = [graded_dimension(P, n, maxdeg) for n in range(args.upto + 1)]
-    if args.emit == "data":
-        _emit_data({"dims": dims})
-    else:
-        for n, dim in enumerate(dims):
-            print(f"{n} {dim}")
-    return 0
+    return 0, {"dims": dims}, [f"{n} {dim}" for n, dim in enumerate(dims)]
 
 
 def _cmd_member(args):
     P = _load_presentation(args)
     f = parse_poly(args.expr, P.field, P.generators)
     verdict = ideal_membership(f, P, args.maxdeg)
-    if args.emit == "data":
-        _emit_data(
-            {"member": verdict.member, "exact": verdict.exact, "bound": verdict.bound}
-        )
-    else:
-        print(str(verdict))
-    return 0 if verdict.member or verdict.exact else UNDECIDED
+    payload = {"member": verdict.member, "exact": verdict.exact, "bound": verdict.bound}
+    code = 0 if verdict.member or verdict.exact else UNDECIDED
+    return code, payload, [str(verdict)]
 
 
 def _cmd_generates(args):
@@ -352,59 +295,37 @@ def _cmd_generates(args):
         if part.strip()
     ]
     verdict = is_generating(elems, P, args.maxdeg)
-    if args.emit == "data":
-        _emit_data({"generating": verdict.generating, "bound": verdict.bound})
-    else:
-        print(str(verdict))
-    return 0 if verdict.generating else UNDECIDED
+    payload = {"generating": verdict.generating, "bound": verdict.bound}
+    return (0 if verdict.generating else UNDECIDED), payload, [str(verdict)]
 
 
 def _cmd_aalpha_iso(args):
     field = _detect_field([args.alpha, args.beta], args.k)
     alpha = parse_scalar(args.alpha, field)
     beta = parse_scalar(args.beta, field)
-    isomorphic = iso_aalpha(alpha, beta)
     decision = decide_form_congruence(alpha, beta)
-    if isomorphic:
+    if decision.congruent:
         images = iso_witness(alpha, beta)
         witness = ", ".join(
             f"x{i + 1} -> {img.to_text(('x1', 'x2'))}" for i, img in enumerate(images)
         )
-        if args.emit == "data":
-            _emit_data({"iso": True, "witness": witness})
-        else:
-            print("ISO")
-            print(f"witness: {witness}")
-    else:
-        beta2, alpha2 = decision.certificate
-        if args.emit == "data":
-            _emit_data(
-                {"iso": False, "certificate": f"{beta2} != {alpha2}"}
-            )
-        else:
-            print("NOT-ISO")
-            print(f"certificate: beta^2 != alpha^2: {beta2} != {alpha2}")
-    return 0
+        return 0, {"iso": True, "witness": witness}, ["ISO", f"witness: {witness}"]
+    beta2, alpha2 = decision.certificate
+    payload = {"iso": False, "certificate": f"{beta2} != {alpha2}"}
+    return 0, payload, ["NOT-ISO", f"certificate: beta^2 != alpha^2: {beta2} != {alpha2}"]
 
 
 def _cmd_aalpha_oracle(args):
     witness = search_iso_degree2(args.alpha, args.beta, args.p)
-    if args.emit == "data":
-        if witness is None:
-            _emit_data({"found": False})
-        else:
-            q = [[witness.q[i][j].value for j in range(2)] for i in range(2)]
-            _emit_data({"found": True, "q": q, "gamma": witness.gamma.value})
-        return 0
     if witness is None:
-        print("absent")
-    else:
-        q = witness.q
-        print(
-            f"congruent Q = [[{q[0][0]}, {q[0][1]}], [{q[1][0]}, {q[1][1]}]] "
-            f"gamma = {witness.gamma}"
-        )
-    return 0
+        return 0, {"found": False}, ["absent"]
+    q = witness.q
+    values = [[q[i][j].value for j in range(2)] for i in range(2)]
+    line = (
+        f"congruent Q = [[{q[0][0]}, {q[0][1]}], [{q[1][0]}, {q[1][1]}]] "
+        f"gamma = {witness.gamma}"
+    )
+    return 0, {"found": True, "q": values, "gamma": witness.gamma.value}, [line]
 
 
 def _cmd_aalpha_orbit(args):
@@ -412,70 +333,49 @@ def _cmd_aalpha_orbit(args):
     field = _detect_field([args.alpha, *auto_texts], args.k)
     alpha = parse_scalar(args.alpha, field)
     autos = [parse_automorphism(text, field) for text in auto_texts]
-    sample = orbit_sample(alpha, autos)
-    if args.emit == "data":
-        _emit_data({"orbit": [str(s) for s in sample]})
-    else:
-        for s in sample:
-            print(s)
-    return 0
+    sample = [str(s) for s in orbit_sample(alpha, autos)]
+    return 0, {"orbit": sample}, sample
 
 
 def _cmd_matrix(args):
-    MP = matrix_presentation(_load_base(args), args.n)
-    _print_presentation(MP.pres, args.emit)
-    return 0
+    return _presentation_result(matrix_presentation(_load_base(args), args.n).pres)
 
 
 def _cmd_idem(args):
     MP = matrix_presentation(_load_base(args), args.n)
     e = parse_poly(args.check, MP.pres.field, MP.pres.generators)
     ok = verify_idempotent(e, MP, args.maxdeg)
-    if args.emit == "data":
-        _emit_data({"idempotent": ok, "bound": args.maxdeg})
-    else:
-        print("idempotent" if ok else f"not-idempotent (tested to degree {args.maxdeg})")
-    return 0
+    line = "idempotent" if ok else f"not-idempotent (tested to degree {args.maxdeg})"
+    return 0, {"idempotent": ok, "bound": args.maxdeg}, [line]
 
 
 def _cmd_full(args):
     MP = matrix_presentation(_load_base(args), args.n)
     e = parse_poly(args.elem, MP.pres.field, MP.pres.generators)
     verdict = is_full_idempotent(e, MP, args.maxdeg)
-    if verdict.full:
-        reverified = verify_fullness_certificate(e, MP, verdict.certificate, args.maxdeg)
-        text = _certificate_text(verdict.certificate, MP.pres.generators)
-        if args.emit == "data":
-            _emit_data(
-                {
-                    "full": True,
-                    "bound": verdict.bound,
-                    "certificate": text,
-                    "reverified": reverified,
-                }
-            )
-        else:
-            print(f"full at {verdict.bound}")
-            print(f"certificate: {text}")
-            print(f"re-verified: {'ok' if reverified else 'FAILED'}")
-        return 0 if reverified else SEMANTIC_ERROR
-    if args.emit == "data":
-        _emit_data({"full": False, "bound": verdict.bound})
-    else:
-        print(str(verdict))
-    return UNDECIDED
+    if not verdict.full:
+        return UNDECIDED, {"full": False, "bound": verdict.bound}, [str(verdict)]
+    reverified = verify_fullness_certificate(e, MP, verdict.certificate, args.maxdeg)
+    text = _certificate_text(verdict.certificate, MP.pres.generators)
+    payload = {
+        "full": True,
+        "bound": verdict.bound,
+        "certificate": text,
+        "reverified": reverified,
+    }
+    lines = [
+        f"full at {verdict.bound}",
+        f"certificate: {text}",
+        f"re-verified: {'ok' if reverified else 'FAILED'}",
+    ]
+    return (0 if reverified else SEMANTIC_ERROR), payload, lines
 
 
 def _cmd_corner(args):
     MP = matrix_presentation(_load_base(args), args.n)
     e = parse_poly(args.elem, MP.pres.field, MP.pres.generators)
     dims = corner_filtered_dims(e, MP, args.upto)
-    if args.emit == "data":
-        _emit_data({"dims": dims})
-    else:
-        for c, dim in enumerate(dims):
-            print(f"{c} {dim}")
-    return 0
+    return 0, {"dims": dims}, [f"{c} {dim}" for c, dim in enumerate(dims)]
 
 
 _HANDLERS = {
@@ -503,7 +403,7 @@ def run(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _HANDLERS[args.verb](args)
+        code, payload, lines = _HANDLERS[args.verb](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
@@ -516,6 +416,12 @@ def run(argv=None):
     except (ValueError, MismatchError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
+    if args.emit == "text":
+        for line in lines:
+            print(line)
+    else:
+        print(json.dumps(payload, sort_keys=True))
+    return code
 
 
 def main(argv=None):

@@ -9,7 +9,7 @@ coefficients; all values are immutable.
 
 from __future__ import annotations
 
-from .scalars import MismatchError, Scalar
+from .scalars import MismatchError, Scalar, signed_sum_text, term_text
 
 
 def deglex_key(word):
@@ -20,16 +20,6 @@ def deglex_key(word):
 def descending_key(word):
     """Sort key whose ascending order is descending deglex (largest first)."""
     return (-len(word), word)
-
-
-def word_compare(u, v):
-    """-1, 0 or +1 as u is below, equal to or above v in deglex order."""
-    ku, kv = deglex_key(u), deglex_key(v)
-    if ku < kv:
-        return -1
-    if ku > kv:
-        return 1
-    return 0
 
 
 def find_factor(word, factor, from_left=True):
@@ -262,42 +252,15 @@ class NCPoly:
             return "0"
         pieces = []
         for word, coeff in self.terms():
-            word_text = "*".join(names[g] for g in word)
-            n = coeff.as_integer()
-            if not word:
+            if word:
+                pieces.append(term_text(coeff, "*".join(names[g] for g in word)))
+            else:
+                n = coeff.as_integer()
                 pieces.append(str(n) if n is not None else f"({coeff})")
-            elif n is not None:
-                if n == 1:
-                    pieces.append(word_text)
-                elif n == -1:
-                    pieces.append("-" + word_text)
-                else:
-                    pieces.append(f"{n}*{word_text}")
-            else:
-                pieces.append(f"({coeff})*{word_text}")
-        text = pieces[0]
-        for piece in pieces[1:]:
-            if piece.startswith("-"):
-                text += " - " + piece[1:]
-            else:
-                text += " + " + piece
-        return text
+        return signed_sum_text(pieces)
 
     def __str__(self):
         return self.to_text()
 
     def __repr__(self):
         return f"NCPoly({self})"
-
-
-def poly_arith(f, g, op):
-    """Dispatch form of the ring operations; op in {add, sub, mul, scale}."""
-    if op == "add":
-        return f + g
-    if op == "sub":
-        return f - g
-    if op == "mul":
-        return f * g
-    if op == "scale":
-        return f.scale(g)
-    raise ValueError(f"unknown op {op!r}")

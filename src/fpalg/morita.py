@@ -16,9 +16,10 @@ re-verifiable certificate, while absence at a bound stays unknown.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .freealg import NCPoly
-from .presentation import Presentation, twist
+from .presentation import Presentation
 from .rewrite import (
     FactorAvoider,
     Span,
@@ -116,18 +117,6 @@ def matrix_presentation(P, n):
     return MatrixPresentation(P, n, pres)
 
 
-def twist_matrix_commutes(P, n, sigma):
-    """Whether twisting commutes with the matrix construction, syntactically.
-
-    Always true: the unit, sum and commutation relations have rational
-    coefficients fixed by sigma, and the base relations move identically on
-    both sides.
-    """
-    lhs = matrix_presentation(twist(P, sigma), n).pres
-    rhs = twist(matrix_presentation(P, n).pres, sigma)
-    return lhs == rhs
-
-
 def _groebner_for(MP, maxdeg):
     need = max(maxdeg, MP.pres.max_relation_degree())
     return groebner(MP.pres, need)
@@ -172,69 +161,6 @@ class FullnessVerdict:
         return "full" if self.full else f"unknown-at-{self.bound}"
 
 
-class _AugmentedSpan:
-    """Span of normal forms that remembers how each vector was assembled."""
-
-    def __init__(self):
-        self._pivots = {}  # leading word -> (monic poly, combo dict)
-
-    @staticmethod
-    def _combine(target, source, factor):
-        for tag, c in source.items():
-            delta = c * factor
-            if tag in target:
-                s = target[tag] + delta
-                if s:
-                    target[tag] = s
-                else:
-                    del target[tag]
-            else:
-                target[tag] = delta
-
-    def _reduce(self, f, combo):
-        while True:
-            hit = None
-            for w, c in f.terms():
-                if w in self._pivots:
-                    hit = (w, c)
-                    break
-            if hit is None:
-                return f, combo
-            w, c = hit
-            pivot, pivot_combo = self._pivots[w]
-            f = f - pivot.scale(c)
-            self._combine(combo, pivot_combo, -c)
-
-    def add(self, f, tag):
-        one = Scalar.one(f.field)
-        f, combo = self._reduce(f, {tag: one})
-        if f.is_zero():
-            return False
-        lead = f.leading_coeff()
-        inv = one / lead
-        self._pivots[f.leading_word()] = (
-            f.monic(),
-            {t: c * inv for t, c in combo.items()},
-        )
-        return True
-
-    def express(self, target):
-        f, combo = self._reduce(target, {})
-        if f.is_zero():
-            return {t: -c for t, c in combo.items()}
-        return None
-
-
-def _words_up_to(num_gens, length):
-    """All words of length <= length, ascending by (length, lex)."""
-    out = [()]
-    frontier = [()]
-    for _ in range(length):
-        frontier = [w + (g,) for w in frontier for g in range(num_gens)]
-        out.extend(frontier)
-    return out
-
-
 def is_full_idempotent(e, MP, d):
     """Search for 1 in the span of normal forms of u*e*v, |u| + |v| <= d.
 
@@ -257,22 +183,19 @@ def is_full_idempotent(e, MP, d):
     m = MP.pres.num_gens
     one_poly = NCPoly.one(MP.pres.field, m)
     target = reduce_by_entries(one_poly, entries)
-    span = _AugmentedSpan()
+    span = Span()
     left = {(): reduce_by_entries(e, entries)}  # u -> NF(u * e)
     for total in range(d + 1):
-        for u in _words_up_to(m, total):
-            if u not in left:
-                # extend on the left by the last-added generator
-                prev = left[u[1:]]
-                left[u] = reduce_by_entries(
-                    NCPoly.monomial(MP.pres.field, m, (u[0],)) * prev, entries
-                )
-            vlen = total - len(u)
-            for v in _words_up_to(m, vlen):
-                if len(v) != vlen:
-                    continue
-                vec = reduce_by_entries(left[u].mul_word((), v), entries)
-                span.add(vec, (u, v))
+        # u ascending by (length, lex), so u[1:] is always cached
+        for ulen in range(total + 1):
+            for u in product(range(m), repeat=ulen):
+                if u not in left:
+                    left[u] = reduce_by_entries(
+                        NCPoly.monomial(MP.pres.field, m, (u[0],)) * left[u[1:]], entries
+                    )
+                for v in product(range(m), repeat=total - ulen):
+                    vec = reduce_by_entries(left[u].mul_word((), v), entries)
+                    span.add(vec, (u, v))
         combo = span.express(target)
         if combo is not None:
             certificate = tuple(
@@ -311,9 +234,7 @@ def corner_filtered_dims(e, MP, d):
     dims = []
     left = {(): reduce_by_entries(e, entries)}  # w -> NF(e * w)
     for c in range(d + 1):
-        for w in _words_up_to(m, c):
-            if len(w) != c:
-                continue
+        for w in product(range(m), repeat=c):
             if w not in left:
                 prev = left[w[:-1]]
                 left[w] = reduce_by_entries(

@@ -79,10 +79,6 @@ class Presentation:
         return presentation_to_text(self)
 
 
-def free_presentation(field, generator_names, name="A"):
-    return Presentation(field, tuple(generator_names), (), name=name)
-
-
 def twist(P, sigma):
     """The same generators and words with every coefficient sent through
     the inverse of sigma."""
@@ -138,8 +134,3 @@ def is_over_subfield(P, r):
             if any(idx >= r for idx in coeff.support_indices()):
                 return False
     return True
-
-
-def presentations_equal(P, Q):
-    """Componentwise equality of canonical forms (relation order matters)."""
-    return P == Q

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 from .freealg import NCPoly, deglex_key, descending_key, find_factor
 from .presentation import Presentation
-from .scalars import MismatchError
+from .scalars import MismatchError, Scalar
 
 
 class ReductionIndex:
@@ -98,7 +98,6 @@ class TruncatedGB:
     field: object
     num_gens: int
     basis: tuple
-    maxdeg: int
     complete_to: int
     _index: ReductionIndex = dataclass_field(init=False, repr=False, compare=False)
 
@@ -153,16 +152,13 @@ class GenerationVerdict:
 def reduce_by_entries(f, entries, strategy="leftmost"):
     """Fully reduce f by (leading word, monic poly) pairs.
 
-    entries is a ReductionIndex, or pairs sorted by ascending deglex leading
-    word (indexed on the fly).  The largest remaining word is rewritten
+    entries is a ReductionIndex.  The largest remaining word is rewritten
     first, by the entry with the deglex-smallest leading word occurring in
     it, at the leftmost or rightmost occurrence per the strategy.
     """
     from_left = strategy == "leftmost"
     if strategy not in ("leftmost", "rightmost"):
         raise ValueError(f"unknown strategy {strategy!r}")
-    if not isinstance(entries, ReductionIndex):
-        entries = ReductionIndex(entries)
     work = dict(f._terms)
     pending = [descending_key(w) for w in work]
     heapq.heapify(pending)
@@ -308,7 +304,7 @@ def groebner(P, maxdeg):
         index.remove(lw_of[s])
         final.append(reduce_by_entries(live[s], index))
         index.add(lw_of[s], live[s])
-    return TruncatedGB(P.field, m, tuple(final), maxdeg, maxdeg)
+    return TruncatedGB(P.field, m, tuple(final), maxdeg)
 
 
 # ---------------------------------------------------------------------------
@@ -431,15 +427,22 @@ def graded_dimension(P, n, maxdeg):
 
 
 class Span:
-    """Incremental row-reduced span of noncommutative polynomials."""
+    """Incremental row-reduced span of noncommutative polynomials.
+
+    A vector inserted with a tag also records where it came from: each pivot
+    keeps the combination of tagged inserts it equals, so express() can write
+    a member of the span in terms of them.  Tag every insert of a span or
+    none of them.
+    """
 
     def __init__(self):
-        self._pivots = {}
+        self._pivots = {}  # leading word -> (monic poly, combo: tag -> Scalar)
 
     def __len__(self):
         return len(self._pivots)
 
-    def reduce(self, f):
+    def _reduce(self, f, combo):
+        # combo, when given, is updated along with f
         while True:
             hit = None
             for w, c in f.terms():
@@ -449,18 +452,43 @@ class Span:
             if hit is None:
                 return f
             w, c = hit
-            f = f - self._pivots[w].scale(c)
+            pivot, pivot_combo = self._pivots[w]
+            f = f - pivot.scale(c)
+            if combo is not None:
+                factor = -c
+                for tag, pc in pivot_combo.items():
+                    delta = pc * factor
+                    if tag in combo:
+                        s = combo[tag] + delta
+                        if s:
+                            combo[tag] = s
+                        else:
+                            del combo[tag]
+                    else:
+                        combo[tag] = delta
 
-    def add(self, f):
+    def add(self, f, tag=None):
         """Insert f if independent; True when the rank grew."""
-        r = self.reduce(f)
-        if r.is_zero():
+        combo = None if tag is None else {tag: Scalar.one(f.field)}
+        f = self._reduce(f, combo)
+        if f.is_zero():
             return False
-        self._pivots[r.leading_word()] = r.monic()
+        if combo is not None:
+            inv = Scalar.one(f.field) / f.leading_coeff()
+            combo = {t: c * inv for t, c in combo.items()}
+        self._pivots[f.leading_word()] = (f.monic(), combo)
         return True
 
     def contains(self, f):
-        return self.reduce(f).is_zero()
+        return self._reduce(f, None).is_zero()
+
+    def express(self, target):
+        """{tag: c} with sum c * (insert of tag) = target, or None when
+        target is outside the span."""
+        combo = {}
+        if self._reduce(target, combo).is_zero():
+            return {t: -c for t, c in combo.items()}
+        return None
 
 
 def is_generating(elems, P, maxdeg):

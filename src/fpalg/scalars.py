@@ -87,22 +87,24 @@ def _monomial_text(monomial, coeff):
     c = int(coeff)
     if not parts:
         return str(c)
-    body = "*".join(parts)
-    if c == 1:
+    return term_text(c, "*".join(parts))
+
+
+def term_text(coeff, body):
+    """Text of coeff * body: an integer coefficient is written bare, with +-1
+    as a sign only; any other coefficient goes in parentheses."""
+    n = coeff if type(coeff) is int else coeff.as_integer()
+    if n == 1:
         return body
-    if c == -1:
+    if n == -1:
         return "-" + body
-    return f"{c}*{body}"
+    if n is not None:
+        return f"{n}*{body}"
+    return f"({coeff})*{body}"
 
 
-def _poly_text(poly):
-    if type(poly) is int:
-        return str(poly)
-    if not poly:
-        return "0"
-    pieces = []
-    for monomial in sorted(poly.keys(), key=_grlex_key, reverse=True):
-        pieces.append(_monomial_text(monomial, poly[monomial]))
+def signed_sum_text(pieces):
+    """Join term texts into a sum; a leading minus becomes the operator."""
     text = pieces[0]
     for piece in pieces[1:]:
         if piece.startswith("-"):
@@ -110,6 +112,17 @@ def _poly_text(poly):
         else:
             text += " + " + piece
     return text
+
+
+def _poly_text(poly):
+    if type(poly) is int:
+        return str(poly)
+    if not poly:
+        return "0"
+    return signed_sum_text([
+        _monomial_text(monomial, poly[monomial])
+        for monomial in sorted(poly.keys(), key=_grlex_key, reverse=True)
+    ])
 
 
 def _hash_terms(part, k):
@@ -349,19 +362,6 @@ def _constant_of(poly):
     if len(items) == 1 and not any(items[0][0]):
         return int(items[0][1])
     return None
-
-
-def scalar_arith(a, b, op):
-    """Dispatch form of the field operations; op in {add, sub, mul, div}."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def one_like(x):

@@ -79,4 +79,4 @@ def allpairs_groebner(P, maxdeg, pushed=None, popped=None):
         index.remove(lw_of[s])
         final.append(reduce_by_entries(live[s], index))
         index.add(lw_of[s], live[s])
-    return TruncatedGB(P.field, P.num_gens, tuple(final), maxdeg, maxdeg)
+    return TruncatedGB(P.field, P.num_gens, tuple(final), maxdeg)

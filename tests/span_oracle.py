@@ -7,7 +7,36 @@ rewriting code is imported, so this is a genuinely separate route.
 
 from itertools import product
 
-from fpalg.linalg import sparse_field_rank
+
+def sparse_field_rank(rows):
+    """Rank of sparse rows (dicts column -> field element) by pivoted echelon.
+
+    Entries may be any exact field type with +, *, /, unary - and truthiness
+    (Scalar, Fraction, ...).
+    """
+    pivots = {}  # column -> normalized row
+    rank = 0
+    for row in rows:
+        row = {c: v for c, v in row.items() if v}
+        while row:
+            col = min(row)
+            if col not in pivots:
+                pivot_value = row[col]
+                row = {c: v / pivot_value for c, v in row.items()}
+                pivots[col] = row
+                rank += 1
+                break
+            factor = row[col]
+            for c, v in pivots[col].items():
+                if c in row:
+                    nv = row[c] - v * factor
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+                else:
+                    row[c] = -(v * factor)
+    return rank
 
 
 def all_words(num_gens, length):

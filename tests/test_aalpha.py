@@ -8,6 +8,7 @@ from fpalg import (
     FieldAutomorphism,
     FieldSpec,
     ModScalar,
+    NCPoly,
     Scalar,
     congruence_check,
     decide_form_congruence,
@@ -15,13 +16,13 @@ from fpalg import (
     graded_dimension,
     iso_aalpha,
     iso_witness,
-    linear_constraint_matrix,
     make_aalpha,
     orbit_sample,
     search_iso_degree2,
     verify_iso_witness,
 )
 from fpalg.aalpha import mat2, mat2_det, mat2_identity, mat2_mul, mat2_transpose
+from fpalg.scalars import one_like
 
 Q = FieldSpec(0)
 QT = FieldSpec(1)
@@ -35,10 +36,25 @@ def qfrac(v):
     return Scalar.from_fraction(Q, v)
 
 
+def quadratic(form, field):
+    """The polynomial sum of form[i][j] * x_(i+1) * x_(j+1)."""
+    pairs = [((i, j), form[i][j]) for i in range(2) for j in range(2)]
+    return NCPoly.from_terms(field, 2, pairs)
+
+
+def linear_constraint_matrix(beta, q):
+    """The product (2 beta; beta 2) * Q.
+
+    Its transpose rows are the coefficients of the two linear equations that
+    the constant parts of a candidate generator pair must satisfy; the left
+    factor is singular exactly when beta = +-2.
+    """
+    two = one_like(beta) + one_like(beta)
+    return mat2_mul(mat2(two, beta, beta, two), q)
+
+
 def assert_witness_invariants(alpha, beta, witness):
     """The derived identity chain that every accepted witness must satisfy."""
-    from fpalg.scalars import one_like
-
     det = mat2_det(witness.q)
     gamma = witness.gamma
     one = one_like(gamma)
@@ -67,15 +83,14 @@ class TestMakeAalpha:
 
 class TestFormOf:
     def test_alpha_zero_is_identity(self):
-        assert form_of(q(0)).entries == mat2_identity(q(0))
+        assert form_of(q(0)) == mat2_identity(q(0))
 
     def test_entries(self):
-        f = form_of(q(2))
-        assert f.entries == mat2(q(1), q(2), q(0), q(1))
+        assert form_of(q(2)) == mat2(q(1), q(2), q(0), q(1))
 
     def test_quadratic_roundtrip(self):
         t = Scalar.generator(QT, 0)
-        expanded = form_of(t).quadratic(QT)
+        expanded = quadratic(form_of(t), QT)
         assert expanded == make_aalpha(t).relations[0]
 
 
@@ -104,8 +119,6 @@ class TestLinearConstraintMatrix:
         # the constant parts, coming from the degree-1 component of
         # y1^2 + y2^2 + beta*y1*y2 with y_i = a_i0 + a_i1*x1 + a_i2*x2
         rng = random.Random(89)
-        from fpalg import NCPoly
-
         for _ in range(20):
             beta = q(rng.randint(-4, 4))
             a10, a20 = q(rng.randint(-3, 3)), q(rng.randint(-3, 3))

@@ -8,8 +8,7 @@ from fpalg import (
     MismatchError,
     NCPoly,
     Scalar,
-    poly_arith,
-    word_compare,
+    deglex_key,
 )
 from randgen import random_automorphism, random_poly, rich_scalar
 
@@ -23,13 +22,13 @@ def gens(field, m=2):
 
 class TestWordOrder:
     def test_lex_on_equal_length(self):
-        assert word_compare((0, 0), (0, 1)) == 1  # x1*x1 > x1*x2
+        assert deglex_key((0, 0)) > deglex_key((0, 1))  # x1*x1 > x1*x2
 
     def test_degree_dominates(self):
-        assert word_compare((1, 1, 1), (0, 0)) == 1  # x2^3 > x1^2
+        assert deglex_key((1, 1, 1)) > deglex_key((0, 0))  # x2^3 > x1^2
 
     def test_reflexive(self):
-        assert word_compare((0, 1, 0), (0, 1, 0)) == 0
+        assert deglex_key((0, 1, 0)) == deglex_key((0, 1, 0))
 
     def test_multiplicative_compatibility(self):
         rng = random.Random(3)
@@ -39,16 +38,16 @@ class TestWordOrder:
             u = random_word(rng, 3, 4)
             v = random_word(rng, 3, 4)
             w = random_word(rng, 3, 3)
-            if word_compare(u, v) != 1:
+            if not deglex_key(u) > deglex_key(v):
                 continue
-            assert word_compare(w + u, w + v) == 1
-            assert word_compare(u + w, v + w) == 1
+            assert deglex_key(w + u) > deglex_key(w + v)
+            assert deglex_key(u + w) > deglex_key(v + w)
 
 
 class TestArithmetic:
     def test_left_distribution_example(self):
         x1, x2 = gens(QT)
-        product = poly_arith(x1 + x2, x1, "mul")
+        product = (x1 + x2) * x1
         expected = NCPoly.from_terms(
             QT, 2, [((0, 0), Scalar.one(QT)), ((1, 0), Scalar.one(QT))]
         )
@@ -57,12 +56,12 @@ class TestArithmetic:
     def test_self_subtraction(self):
         rng = random.Random(5)
         f = random_poly(rng, QT, 2, 3)
-        assert poly_arith(f, f, "sub").is_zero()
+        assert (f - f).is_zero()
 
     def test_scale_by_zero(self):
         rng = random.Random(6)
         f = random_poly(rng, QT, 2, 3)
-        assert poly_arith(f, Scalar.zero(QT), "scale").is_zero()
+        assert f.scale(Scalar.zero(QT)).is_zero()
 
     def test_context_mismatch(self):
         with pytest.raises(MismatchError):

@@ -1,9 +1,14 @@
+"""The span oracle's sparse rank against sympy's DomainMatrix rank."""
+
 import random
 from fractions import Fraction
 
+from sympy import QQ, symbols
+from sympy.polys.matrices import DomainMatrix
+
 from fpalg import FieldSpec, Scalar
-from fpalg.linalg import scalar_matrix_rank, sparse_field_rank
 from randgen import rich_scalar
+from span_oracle import sparse_field_rank
 
 Q = FieldSpec(0)
 QT = FieldSpec(1)
@@ -13,11 +18,22 @@ def sparse_rows(rows):
     return [{j: v for j, v in enumerate(row) if v} for row in rows]
 
 
+def reference_rank(rows):
+    """Rank of a matrix of Scalars by sympy over QQ or QQ(t1..tk)."""
+    k = rows[0][0].field.num_generators
+    domain = QQ.frac_field(*symbols(f"t1:{k + 1}")) if k else QQ
+    entries = [
+        [domain.from_sympy(s.numerator.as_expr() / s.denominator.as_expr()) for s in row]
+        for row in rows
+    ]
+    return DomainMatrix(entries, (len(rows), len(rows[0])), domain).rank()
+
+
 class TestKnownRanks:
     def test_identity(self):
         one, zero = Scalar.one(Q), Scalar.zero(Q)
         rows = [[one, zero], [zero, one]]
-        assert scalar_matrix_rank(rows) == 2
+        assert reference_rank(rows) == 2
         assert sparse_field_rank(sparse_rows(rows)) == 2
 
     def test_repeated_row(self):
@@ -25,7 +41,7 @@ class TestKnownRanks:
         one = Scalar.one(QT)
         rows = [[t, one], [t, one], [t * t, t]]
         # third row is t * first row
-        assert scalar_matrix_rank(rows) == 1
+        assert reference_rank(rows) == 1
         assert sparse_field_rank(sparse_rows(rows)) == 1
 
     def test_rational_function_entries(self):
@@ -33,11 +49,13 @@ class TestKnownRanks:
         one = Scalar.one(QT)
         rows = [[one / t, one], [one, t]]
         # det = 1/t * t - 1 = 0
-        assert scalar_matrix_rank(rows) == 1
+        assert reference_rank(rows) == 1
+        assert sparse_field_rank(sparse_rows(rows)) == 1
 
     def test_zero_matrix(self):
         zero = Scalar.zero(Q)
-        assert scalar_matrix_rank([[zero, zero]]) == 0
+        assert reference_rank([[zero, zero]]) == 0
+        assert sparse_field_rank(sparse_rows([[zero, zero]])) == 0
         assert sparse_field_rank([{}]) == 0
 
 
@@ -51,7 +69,7 @@ class TestCrossValidation:
                 [rich_scalar(rng, QT, depth=1) for _ in range(ncols)]
                 for _ in range(nrows)
             ]
-            assert scalar_matrix_rank(rows) == sparse_field_rank(sparse_rows(rows))
+            assert reference_rank(rows) == sparse_field_rank(sparse_rows(rows))
 
     def test_sparse_rank_over_fractions(self):
         rng = random.Random(131)
@@ -67,4 +85,4 @@ class TestCrossValidation:
                 {j: row[j].as_fraction() for j in range(ncols) if row[j]}
                 for row in scalars
             ]
-            assert sparse_field_rank(fractions) == scalar_matrix_rank(scalars)
+            assert sparse_field_rank(fractions) == reference_rank(scalars)

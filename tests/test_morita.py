@@ -10,13 +10,12 @@ from fpalg import (
     Scalar,
     corner_filtered_dims,
     filtered_dimension,
-    free_presentation,
     graded_dimension,
     is_full_idempotent,
     make_aalpha,
     matrix_presentation,
-    twist_matrix_commutes,
     verify_fullness_certificate,
+    twist,
     verify_idempotent,
 )
 from randgen import random_automorphism, random_homogeneous_quadratic
@@ -29,6 +28,12 @@ def rational_base():
     return Presentation(Q, (), (), name="B")
 
 
+def twist_matrix_commutes(P, n, sigma):
+    """Whether twisting commutes with the matrix construction, syntactically."""
+    lhs = matrix_presentation(twist(P, sigma), n).pres
+    return lhs == twist(matrix_presentation(P, n).pres, sigma)
+
+
 class TestConstruction:
     def test_rational_base_n2_shape(self):
         MP = matrix_presentation(rational_base(), 2)
@@ -37,7 +42,7 @@ class TestConstruction:
         assert len(MP.pres.relations) == 17
 
     def test_free_base_adds_lift_and_commutations(self):
-        P = free_presentation(Q, ("x1",))
+        P = Presentation(Q, ("x1",), ())
         MP = matrix_presentation(P, 2)
         assert MP.pres.generators == ("e11", "e12", "e21", "e22", "z1")
         assert len(MP.pres.relations) == 16 + 1 + 4
@@ -68,7 +73,7 @@ class TestFilteredDimension:
             assert filtered_dimension(MP, 3) == n * n
 
     def test_polynomial_algebra_grows_linearly(self):
-        P = free_presentation(Q, ("x1",))
+        P = Presentation(Q, ("x1",), ())
         MP = matrix_presentation(P, 1)
         for d in (2, 3, 4, 5):
             assert filtered_dimension(MP, d) == d + 1

@@ -1,0 +1,111 @@
+"""The package surface that the benchmark harness relies on.
+
+perfbench/ imports fpalg names by hand and its tracer rebinds fpalg
+functions and methods by name, so removing or renaming one of them would
+break the benchmark without failing any engine test.  These checks read the
+harness files themselves.
+"""
+
+import ast
+import importlib
+import importlib.util
+import pathlib
+import types
+
+import fpalg
+
+PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+
+PUBLIC_NAMES = [
+    "CongruenceDecision",
+    "CongruenceWitness",
+    "DegreeBudgetError",
+    "FieldAutomorphism",
+    "FieldSpec",
+    "FullnessVerdict",
+    "GenerationVerdict",
+    "MatrixPresentation",
+    "MembershipVerdict",
+    "MismatchError",
+    "ModScalar",
+    "NCPoly",
+    "NormalForm",
+    "ParseError",
+    "Presentation",
+    "Scalar",
+    "TruncatedGB",
+    "apply_automorphism",
+    "canonicalize",
+    "compose",
+    "congruence_check",
+    "corner_filtered_dims",
+    "decide_form_congruence",
+    "deglex_key",
+    "filtered_dimension",
+    "form_of",
+    "graded_dimension",
+    "groebner",
+    "ideal_membership",
+    "invert",
+    "is_full_idempotent",
+    "is_generating",
+    "is_over_subfield",
+    "iso_aalpha",
+    "iso_witness",
+    "make_aalpha",
+    "matrix_presentation",
+    "normal_form",
+    "orbit_sample",
+    "parse_automorphism",
+    "parse_poly",
+    "parse_presentation",
+    "parse_scalar",
+    "presentation_to_text",
+    "search_iso_degree2",
+    "transcendental_support",
+    "twist",
+    "verify_fullness_certificate",
+    "verify_idempotent",
+    "verify_iso_witness",
+]
+
+
+def _fpalg_imports(path):
+    """(module, name) for every `from fpalg... import name` in a file."""
+    tree = ast.parse(path.read_text())
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and (
+            node.module == "fpalg" or node.module.startswith("fpalg.")
+        ):
+            out.extend((node.module, alias.name) for alias in node.names)
+    return out
+
+
+def test_public_names_are_pinned():
+    names = sorted(
+        n for n in dir(fpalg)
+        if not n.startswith("_") and not isinstance(getattr(fpalg, n), types.ModuleType)
+    )
+    assert names == PUBLIC_NAMES
+
+
+def test_workload_imports_exist():
+    imports = _fpalg_imports(PERFBENCH / "workloads.py")
+    assert {module for module, _ in imports} == {"fpalg", "fpalg.syntax"}
+    for module, name in imports:
+        assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_tracer_targets_resolve():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", PERFBENCH / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for targets in tracer.FUNCTIONS.values():
+        for home, attr in targets:
+            assert callable(getattr(importlib.import_module(home), attr, None)), f"{home}.{attr}"
+    for targets in tracer.METHODS.values():
+        for home, cls_name, attr in targets:
+            cls = getattr(importlib.import_module(home), cls_name)
+            # the tracer patches only methods the class itself defines
+            assert attr in vars(cls), f"{home}.{cls_name}.{attr}"

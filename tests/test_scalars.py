@@ -12,7 +12,6 @@ from fpalg import (
     apply_automorphism,
     compose,
     invert,
-    scalar_arith,
 )
 from fpalg.scalars import _int_ring
 from randgen import rich_scalar
@@ -29,20 +28,20 @@ def s(field, v):
 class TestArithmetic:
     def test_polynomial_cancellation(self):
         t = Scalar.generator(QT, 0)
-        assert scalar_arith(t * t - s(QT, 1), t - s(QT, 1), "div") == t + s(QT, 1)
+        assert (t * t - s(QT, 1)) / (t - s(QT, 1)) == t + s(QT, 1)
 
     def test_additive_identity(self):
         t = Scalar.generator(QT, 0)
         a = (t + s(QT, 3)) / (t * t + s(QT, 1))
-        assert scalar_arith(a, Scalar.zero(QT), "add") == a
+        assert a + Scalar.zero(QT) == a
 
     def test_multiplicative_inverse(self):
         t = Scalar.generator(QT, 0)
-        assert scalar_arith(s(QT, 1) / t, t, "mul") == Scalar.one(QT)
+        assert (s(QT, 1) / t) * t == Scalar.one(QT)
 
     def test_division_by_zero(self):
         with pytest.raises(ZeroDivisionError):
-            scalar_arith(s(Q, 1), Scalar.zero(Q), "div")
+            s(Q, 1) / Scalar.zero(Q)
 
     def test_field_mismatch(self):
         with pytest.raises(MismatchError):
