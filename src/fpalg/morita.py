@@ -139,6 +139,8 @@ def filtered_dimension(MP, d):
 
 def verify_idempotent(e, MP, d):
     """Exact check of e^2 = e modulo the relations, within the degree budget."""
+    if d < 0:
+        raise ValueError("idempotent degree must be >= 0")
     if e.field != MP.pres.field or e.num_gens != MP.pres.num_gens:
         raise MismatchError("element over a different context")
     gb = _groebner_for(MP, d)
@@ -168,6 +170,8 @@ def is_full_idempotent(e, MP, d):
     normal_form); otherwise the verdict is unknown at this bound, since
     non-fullness is not certifiable by a bounded search.
     """
+    if d < 0:
+        raise ValueError("fullness degree must be >= 0")
     edeg = max(e.degree(), 1)
     gbdeg = max(d + edeg, 2 * edeg)
     gb = _groebner_for(MP, gbdeg)
@@ -206,17 +210,37 @@ def is_full_idempotent(e, MP, d):
 
 
 def verify_fullness_certificate(e, MP, certificate, d):
-    """Recompute sum c * u*e*v - 1 and reduce it to zero."""
+    """Recompute sum c * u*e*v - 1 and reduce it to zero.
+
+    The basis is the one is_full_idempotent(e, MP, d) searched with, or
+    deeper if the certificate is longer.  NF is linear up to that degree, so
+    a certificate the search found reduces to zero; a zero normal form proves
+    the identity at any degree.
+    """
     m = MP.pres.num_gens
     acc = -NCPoly.one(MP.pres.field, m)
     for (u, v), c in certificate:
         acc = acc + e.mul_word(u, v).scale(c)
-    gb = _groebner_for(MP, max(acc.degree(), 2) + 2)
+    edeg = max(e.degree(), 1)
+    gb = _groebner_for(MP, max(d + edeg, 2 * edeg, acc.degree()))
     return reduce_by_entries(acc, gb.entries()).is_zero()
 
 
 def corner_filtered_dims(e, MP, d):
-    """Span dimensions of normal forms of e*w*e for |w| <= c, c = 0..d."""
+    """Span dimensions of normal forms of e*w*e for |w| <= c, c = 0..d.
+
+    Only normal words w are inserted, and that loses nothing.  The basis is
+    complete to gbdeg = max(d + 2*deg e, 2*deg e).  Every word w with
+    |w| <= c equals NF(w) plus a sum of terms a*g*b with g in the basis and
+    deg(a*g*b) <= |w|, and NF(w) is a combination of normal words of length
+    <= |w|.  Each e*(a*g*b)*e has degree at most gbdeg, and the truncated
+    basis is confluent up to gbdeg, so NF is linear there and sends those
+    terms to zero.  Hence NF(e*w*e) lies in the span of NF(e*w'*e) over
+    normal w' with |w'| <= |w|, and the span at every c, so every dim, is
+    the one over all words.  The normal words come from the automaton over
+    the leading words; a prefix of a normal word is normal, so the prefix
+    cache always holds w[:-1].
+    """
     if d < 0:
         raise ValueError("corner degree must be >= 0")
     edeg = max(e.degree(), 1)
@@ -230,11 +254,12 @@ def corner_filtered_dims(e, MP, d):
         raise ValueError("element is not an idempotent modulo the relations")
 
     m = MP.pres.num_gens
+    normal = FactorAvoider(m, gb.leading_words()).words_up_to(d)
     span = Span()
     dims = []
     left = {(): reduce_by_entries(e, entries)}  # w -> NF(e * w)
-    for c in range(d + 1):
-        for w in product(range(m), repeat=c):
+    for words in normal:
+        for w in words:
             if w not in left:
                 prev = left[w[:-1]]
                 left[w] = reduce_by_entries(

@@ -329,10 +329,11 @@ def ideal_membership(f, P, maxdeg):
 
 
 class FactorAvoider:
-    """Counts words containing none of a set of forbidden factors.
+    """Counts and lists words containing none of a set of forbidden factors.
 
-    Aho-Corasick automaton over the forbidden words; the DP transfer is
-    deterministic and linear in length x states x alphabet.
+    Aho-Corasick automaton over the forbidden words; the avoiding words are
+    the paths from the root that never enter a terminal state.  The DP
+    transfer is deterministic and linear in length x states x alphabet.
     """
 
     def __init__(self, num_gens, forbidden):
@@ -405,6 +406,24 @@ class FactorAvoider:
 
     def count_up_to(self, length):
         return sum(self.count(n) for n in range(length + 1))
+
+    def words_up_to(self, length):
+        """The avoiding words of each length 0..length, each list in lex order.
+
+        Every length extends the previous one letter by letter, so only
+        avoiding words are ever built; a prefix of an avoiding word avoids.
+        """
+        level = [] if self.trivial_dead else [((), 0)]
+        levels = [[word for word, _ in level]]
+        for _ in range(length):
+            level = [
+                (word + (letter,), target)
+                for word, state in level
+                for letter, target in enumerate(self._table[state])
+                if not self._terminal[target]
+            ]
+            levels.append([word for word, _ in level])
+        return levels
 
 
 def graded_dimension(P, n, maxdeg):
