@@ -12,6 +12,7 @@ from itertools import product
 import pytest
 
 from fpalg import (
+    DegreeBudgetError,
     FieldSpec,
     NCPoly,
     Presentation,
@@ -24,7 +25,6 @@ from fpalg import (
     verify_idempotent,
 )
 from fpalg import morita
-from fpalg.morita import DegreeBudgetError
 from fpalg.rewrite import FactorAvoider, groebner, reduce_by_entries
 from allwords_corner import allwords_corner_dims
 from randgen import random_homogeneous_quadratic, random_presentation, simple_scalar
@@ -75,11 +75,10 @@ class TestCornerAgainstAllWords:
 
 def _normal_by_reduction(gb, m, n):
     """Words of length <= n that reduction leaves unchanged, (length, lex)."""
-    field = gb.field
     out = []
     for length in range(n + 1):
         for w in product(range(m), repeat=length):
-            mono = NCPoly.monomial(field, m, w)
+            mono = NCPoly.monomial(gb.field, m, w)
             if reduce_by_entries(mono, gb.entries()) == mono:
                 out.append(w)
     return out
