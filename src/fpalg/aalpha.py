@@ -154,14 +154,14 @@ def iso_witness(alpha, beta):
     return None
 
 
-def verify_iso_witness(alpha, beta, images, maxdeg=3):
+def verify_iso_witness(alpha, beta, images):
     """Check both contract halves for a claimed generator-image pair."""
     P = make_aalpha(alpha)
     substituted = make_aalpha(beta).relations[0].substitute(list(images))
-    gb = groebner(P, max(maxdeg, substituted.degree(), 2))
+    gb = groebner(P, max(3, substituted.degree()))
     if not normal_form(substituted, gb).poly.is_zero():
         return False
-    return bool(is_generating(list(images), P, max(maxdeg, 2)))
+    return bool(is_generating(list(images), P, 3))
 
 
 def _residue(x, p):

@@ -22,16 +22,13 @@ def descending_key(word):
     return (-len(word), word)
 
 
-def find_factor(word, factor, from_left=True):
-    """Index of an occurrence of factor inside word, or -1.
+def find_factor(word, factor):
+    """Index of the leftmost occurrence of factor inside word, or -1.
 
     The unit word occurs at position 0 of every word.
     """
     n, f = len(word), len(factor)
-    if f > n:
-        return -1
-    positions = range(n - f + 1) if from_left else range(n - f, -1, -1)
-    for i in positions:
+    for i in range(n - f + 1):
         if word[i : i + f] == factor:
             return i
     return -1
@@ -203,15 +200,6 @@ class NCPoly:
 
     # -- structural operations ----------------------------------------------
 
-    def homogeneous_component(self, d):
-        if d < 0:
-            raise ValueError("degree must be >= 0")
-        return NCPoly(
-            self.field,
-            self.num_gens,
-            {w: c for w, c in self._terms.items() if len(w) == d},
-        )
-
     def substitute(self, images):
         """Evaluate the ring homomorphism x_i -> images[i]."""
         if len(images) != self.num_gens:
@@ -248,8 +236,6 @@ class NCPoly:
     def to_text(self, names=None):
         if names is None:
             names = tuple(f"x{i + 1}" for i in range(self.num_gens))
-        if not self._terms:
-            return "0"
         pieces = []
         for word, coeff in self.terms():
             if word:

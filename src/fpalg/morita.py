@@ -33,6 +33,9 @@ class DegreeBudgetError(ValueError):
     """A verification could not be completed within the degree bound."""
 
 
+_NOT_IDEMPOTENT = "element is not an idempotent modulo the relations"
+
+
 @dataclass(frozen=True)
 class MatrixPresentation:
     """Presentation of the n x n matrix algebra over a presented base."""
@@ -77,9 +80,6 @@ def matrix_presentation(P, n):
     def unit_word(i, j):
         return ((i - 1) * n + (j - 1),)
 
-    def gen(index):
-        return NCPoly.gen(field, total, index)
-
     relations = []
     # e_ij * e_kl - delta_jk * e_il
     for i in range(1, n + 1):
@@ -106,10 +106,11 @@ def matrix_presentation(P, n):
                         [((z,) + unit_word(i, j), one), (unit_word(i, j) + (z,), -one)],
                     )
                 )
-    # base relations in the lifts
-    lifts = [gen(n * n + k) for k in range(P.num_gens)]
+    # base relations in the lifts: base generator k is relabelled z_(k+1)
     for rel in P.relations:
-        relations.append(rel.substitute(lifts))
+        relations.append(NCPoly.from_terms(
+            field, total, [(tuple(n * n + g for g in w), c) for w, c in rel.terms()]
+        ))
 
     pres = Presentation(
         field, tuple(names), tuple(relations), name=f"M{n}_{P.name}"
@@ -137,19 +138,26 @@ def filtered_dimension(MP, d):
     return avoider.count_up_to(d)
 
 
-def verify_idempotent(e, MP, d):
-    """Exact check of e^2 = e modulo the relations, within the degree budget."""
-    if d < 0:
-        raise ValueError("idempotent degree must be >= 0")
+def _basis_and_idempotency(e, MP, gbdeg):
+    """The basis complete to gbdeg (or to the relations' degree) and whether
+    e*e - e reduces to zero by it.  Fullness and corners complete to at
+    least 2 deg e, so only verify_idempotent can run out of degree here."""
     if e.field != MP.pres.field or e.num_gens != MP.pres.num_gens:
         raise MismatchError("element over a different context")
-    gb = _groebner_for(MP, d)
+    gb = _groebner_for(MP, gbdeg)
     probe = e * e - e
     if probe.degree() > gb.complete_to:
         raise DegreeBudgetError(
             f"degree {probe.degree()} of e*e - e exceeds verified degree {gb.complete_to}"
         )
-    return reduce_by_entries(probe, gb.entries()).is_zero()
+    return gb, reduce_by_entries(probe, gb.entries()).is_zero()
+
+
+def verify_idempotent(e, MP, d):
+    """Exact check of e^2 = e modulo the relations, within the degree budget."""
+    if d < 0:
+        raise ValueError("idempotent degree must be >= 0")
+    return _basis_and_idempotency(e, MP, d)[1]
 
 
 @dataclass(frozen=True)
@@ -163,26 +171,37 @@ class FullnessVerdict:
         return "full" if self.full else f"unknown-at-{self.bound}"
 
 
+def _fullness_degree(e, d):
+    # u*e*v with |u| + |v| <= d, and e*e, lie within this degree
+    edeg = max(e.degree(), 1)
+    return max(d + edeg, 2 * edeg)
+
+
+def _certificate_residue(e, MP, certificate):
+    """sum c * u*e*v - 1, zero modulo the relations exactly when the
+    certificate is valid."""
+    acc = -NCPoly.one(MP.pres.field, MP.pres.num_gens)
+    for (u, v), c in certificate:
+        acc = acc + e.mul_word(u, v).scale(c)
+    return acc
+
+
 def is_full_idempotent(e, MP, d):
     """Search for 1 in the span of normal forms of u*e*v, |u| + |v| <= d.
 
-    Returns a certificate combination when found (re-verify with
-    normal_form); otherwise the verdict is unknown at this bound, since
-    non-fullness is not certifiable by a bounded search.
+    Returns a certificate combination when found, after checking that its
+    residue sum c * u*e*v - 1 reduces to zero by the basis of the search;
+    otherwise the verdict is unknown at this bound, since non-fullness is
+    not certifiable by a bounded search.
     """
     if d < 0:
         raise ValueError("fullness degree must be >= 0")
-    edeg = max(e.degree(), 1)
-    gbdeg = max(d + edeg, 2 * edeg)
-    gb = _groebner_for(MP, gbdeg)
-    entries = gb.entries()
-    probe = e * e - e
-    if probe.degree() > gb.complete_to:
-        raise DegreeBudgetError("idempotency check exceeds the degree budget")
-    if not reduce_by_entries(probe, entries).is_zero():
-        raise ValueError("element is not an idempotent modulo the relations")
+    gb, idempotent = _basis_and_idempotency(e, MP, _fullness_degree(e, d))
+    if not idempotent:
+        raise ValueError(_NOT_IDEMPOTENT)
     if e.is_zero():
         raise ValueError("the zero element is never a full idempotent")
+    entries = gb.entries()
 
     m = MP.pres.num_gens
     one_poly = NCPoly.one(MP.pres.field, m)
@@ -205,6 +224,9 @@ def is_full_idempotent(e, MP, d):
             certificate = tuple(
                 sorted(combo.items(), key=lambda kv: (len(kv[0][0]) + len(kv[0][1]), kv[0]))
             )
+            residue = _certificate_residue(e, MP, certificate)
+            if not reduce_by_entries(residue, entries).is_zero():
+                raise ValueError("fullness certificate does not reduce to zero")
             return FullnessVerdict(True, total, certificate)
     return FullnessVerdict(False, d)
 
@@ -217,12 +239,8 @@ def verify_fullness_certificate(e, MP, certificate, d):
     a certificate the search found reduces to zero; a zero normal form proves
     the identity at any degree.
     """
-    m = MP.pres.num_gens
-    acc = -NCPoly.one(MP.pres.field, m)
-    for (u, v), c in certificate:
-        acc = acc + e.mul_word(u, v).scale(c)
-    edeg = max(e.degree(), 1)
-    gb = _groebner_for(MP, max(d + edeg, 2 * edeg, acc.degree()))
+    acc = _certificate_residue(e, MP, certificate)
+    gb = _groebner_for(MP, max(_fullness_degree(e, d), acc.degree()))
     return reduce_by_entries(acc, gb.entries()).is_zero()
 
 
@@ -244,14 +262,10 @@ def corner_filtered_dims(e, MP, d):
     if d < 0:
         raise ValueError("corner degree must be >= 0")
     edeg = max(e.degree(), 1)
-    gbdeg = max(d + 2 * edeg, 2 * edeg)
-    gb = _groebner_for(MP, gbdeg)
+    gb, idempotent = _basis_and_idempotency(e, MP, max(d + 2 * edeg, 2 * edeg))
+    if not idempotent:
+        raise ValueError(_NOT_IDEMPOTENT)
     entries = gb.entries()
-    probe = e * e - e
-    if probe.degree() > gb.complete_to:
-        raise DegreeBudgetError("idempotency check exceeds the degree budget")
-    if not reduce_by_entries(probe, entries).is_zero():
-        raise ValueError("element is not an idempotent modulo the relations")
 
     m = MP.pres.num_gens
     normal = FactorAvoider(m, gb.leading_words()).words_up_to(d)

@@ -5,10 +5,11 @@ leading words, in ascending deglex order of the overlap word, up to a
 truncation degree.  With a degree-compatible order every S-element coming
 from an overlap of degree <= maxdeg reduces inside the truncation, so the
 returned basis always has complete_to = maxdeg: all ambiguities up to that
-degree are resolved and normal forms of polynomials of degree <= maxdeg are
-strategy-independent.  For inhomogeneous ideals a zero normal form certifies
-membership while a nonzero one is only a bounded verdict; for homogeneous
-ideals both directions are exact up to the truncation.
+degree are resolved and normal forms of polynomials of degree <= maxdeg do
+not depend on the order of the reduction steps.  For inhomogeneous ideals a
+zero normal form certifies membership while a nonzero one is only a bounded
+verdict; for homogeneous ideals both directions are exact up to the
+truncation.
 """
 
 from __future__ import annotations
@@ -65,11 +66,11 @@ class ReductionIndex:
         for _, lw, g in sorted(self._by_word.values(), key=lambda e: e[0]):
             yield lw, g
 
-    def find(self, w, from_left):
+    def find(self, w):
         """(leading word, poly, position) of the reducer for w, or None.
 
         The reducer is the one with the deglex-smallest leading word that
-        occurs in w, taken at its leftmost or rightmost occurrence.
+        occurs in w, taken at its leftmost occurrence.
         """
         by_word = self._by_word
         n = len(w)
@@ -79,11 +80,7 @@ class ReductionIndex:
             best = None
             for i in range(n - length + 1):
                 hit = by_word.get(w[i : i + length])
-                if hit is None:
-                    continue
-                if best is None or hit[0] < best[0] or (
-                    hit is best and not from_left
-                ):
+                if hit is not None and (best is None or hit[0] < best[0]):
                     best, pos = hit, i
             if best is not None:
                 return best[1], best[2], pos
@@ -149,16 +146,13 @@ class GenerationVerdict:
 # ---------------------------------------------------------------------------
 
 
-def reduce_by_entries(f, entries, strategy="leftmost"):
+def reduce_by_entries(f, entries):
     """Fully reduce f by (leading word, monic poly) pairs.
 
     entries is a ReductionIndex.  The largest remaining word is rewritten
     first, by the entry with the deglex-smallest leading word occurring in
-    it, at the leftmost or rightmost occurrence per the strategy.
+    it, at its leftmost occurrence.
     """
-    from_left = strategy == "leftmost"
-    if strategy not in ("leftmost", "rightmost"):
-        raise ValueError(f"unknown strategy {strategy!r}")
     work = dict(f._terms)
     pending = [descending_key(w) for w in work]
     heapq.heapify(pending)
@@ -168,7 +162,7 @@ def reduce_by_entries(f, entries, strategy="leftmost"):
         if w not in work:
             continue  # cancelled after it was queued
         c = work.pop(w)
-        hit = entries.find(w, from_left)
+        hit = entries.find(w)
         if hit is None:
             out[w] = c
             continue
@@ -191,7 +185,7 @@ def reduce_by_entries(f, entries, strategy="leftmost"):
     return NCPoly._make(f.field, f.num_gens, out)
 
 
-def normal_form(f, gb, strategy="leftmost"):
+def normal_form(f, gb):
     """Normal form of f modulo the truncated basis.
 
     The result is flagged unverified when deg(f) exceeds gb.complete_to; in
@@ -200,7 +194,7 @@ def normal_form(f, gb, strategy="leftmost"):
     """
     if f.field != gb.field or f.num_gens != gb.num_gens:
         raise MismatchError("polynomial over a different context")
-    reduced = reduce_by_entries(f, gb.entries(), strategy)
+    reduced = reduce_by_entries(f, gb.entries())
     return NormalForm(reduced, f.degree() <= gb.complete_to)
 
 

@@ -104,7 +104,10 @@ def term_text(coeff, body):
 
 
 def signed_sum_text(pieces):
-    """Join term texts into a sum; a leading minus becomes the operator."""
+    """Join term texts into a sum; a leading minus becomes the operator.
+    The empty sum is "0"."""
+    if not pieces:
+        return "0"
     text = pieces[0]
     for piece in pieces[1:]:
         if piece.startswith("-"):
@@ -117,8 +120,6 @@ def signed_sum_text(pieces):
 def _poly_text(poly):
     if type(poly) is int:
         return str(poly)
-    if not poly:
-        return "0"
     return signed_sum_text([
         _monomial_text(monomial, poly[monomial])
         for monomial in sorted(poly.keys(), key=_grlex_key, reverse=True)

@@ -3,10 +3,22 @@
 This is the reduction loop fpalg used before its leading-word index: the
 largest remaining word is found with max() and its reducer by trying every
 entry in ascending deglex order.  The differential tests hold the indexed
-reduce_by_entries to exactly this behaviour, term order included.
+reduce_by_entries to exactly this behaviour, term order included.  It also
+reduces at the rightmost occurrence of a leading word, an order fpalg does
+not use, so that tests can check normal forms do not depend on the order.
 """
 
-from fpalg.freealg import NCPoly, deglex_key, find_factor
+from fpalg.freealg import NCPoly, deglex_key
+
+
+def find_factor(word, factor, from_left=True):
+    """Index of the leftmost or rightmost occurrence of factor in word, or -1."""
+    n, f = len(word), len(factor)
+    positions = range(n - f + 1) if from_left else range(n - f, -1, -1)
+    for i in positions:
+        if word[i : i + f] == factor:
+            return i
+    return -1
 
 
 def linear_reduce(f, entries, strategy="leftmost"):

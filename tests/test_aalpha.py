@@ -129,13 +129,12 @@ class TestLinearConstraintMatrix:
             y1 = one.scale(a10) + x1.scale(qmat[0][0]) + x2.scale(qmat[0][1])
             y2 = one.scale(a20) + x1.scale(qmat[1][0]) + x2.scale(qmat[1][1])
             probe = y1 * y1 + y2 * y2 + (y1 * y2).scale(beta)
-            linear = probe.homogeneous_component(1)
             m = linear_constraint_matrix(beta, qmat)
             mt = mat2_transpose(m)
             expect_x1 = a10 * mt[0][0] + a20 * mt[0][1]
             expect_x2 = a10 * mt[1][0] + a20 * mt[1][1]
-            assert linear.coefficient((0,)) == expect_x1
-            assert linear.coefficient((1,)) == expect_x2
+            assert probe.coefficient((0,)) == expect_x1
+            assert probe.coefficient((1,)) == expect_x2
 
 
 class TestCongruenceCheck:

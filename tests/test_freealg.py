@@ -80,34 +80,6 @@ class TestArithmetic:
             assert (f + g) * h == f * h + g * h
 
 
-class TestHomogeneousComponent:
-    def setup_method(self):
-        one = Scalar.one(QT)
-        self.f = NCPoly.from_terms(
-            QT, 2, [((), Scalar.from_int(QT, 3)), ((0,), one), ((0, 1), one)]
-        )
-
-    def test_degree_two(self):
-        assert self.f.homogeneous_component(2) == NCPoly.monomial(QT, 2, (0, 1))
-
-    def test_degree_zero(self):
-        assert self.f.homogeneous_component(0) == NCPoly.from_terms(
-            QT, 2, [((), Scalar.from_int(QT, 3))]
-        )
-
-    def test_degree_beyond_support(self):
-        assert self.f.homogeneous_component(5).is_zero()
-
-    def test_components_sum_to_whole(self):
-        rng = random.Random(9)
-        for _ in range(50):
-            f = random_poly(rng, QT, 3, 4)
-            total = NCPoly.zero(QT, 3)
-            for d in range(f.degree() + 1):
-                total = total + f.homogeneous_component(d)
-            assert total == f
-
-
 class TestSubstitute:
     def test_swap(self):
         x1, x2 = gens(QT)

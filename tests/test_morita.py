@@ -5,12 +5,14 @@ import pytest
 from fpalg import (
     DegreeBudgetError,
     FieldSpec,
+    MismatchError,
     NCPoly,
     Presentation,
     Scalar,
     corner_filtered_dims,
     filtered_dimension,
     graded_dimension,
+    groebner,
     is_full_idempotent,
     make_aalpha,
     matrix_presentation,
@@ -18,6 +20,8 @@ from fpalg import (
     twist,
     verify_idempotent,
 )
+from fpalg import morita
+from fpalg.cli import run
 from randgen import random_automorphism, random_homogeneous_quadratic
 
 Q = FieldSpec(0)
@@ -59,6 +63,11 @@ class TestConstruction:
         z1, z2 = MP.lift(0), MP.lift(1)
         lifted = z1 * z1 + z2 * z2 + (z1 * z2).scale(t)
         assert lifted in MP.pres.relations
+
+    def test_base_without_generators_lifts_constant_relation(self):
+        one = NCPoly.one(Q, 0)
+        MP = matrix_presentation(Presentation(Q, (), (one,)), 2)
+        assert MP.pres.relations[-1] == NCPoly.one(Q, 4)
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
@@ -169,6 +178,36 @@ class TestFullness:
         verdict = is_full_idempotent(MP.unit(1, 1), MP, 2)
         assert verdict.full
         assert verify_fullness_certificate(MP.unit(1, 1), MP, verdict.certificate, 2)
+
+    def test_element_over_other_context_rejected(self):
+        other = matrix_presentation(rational_base(), 3)
+        with pytest.raises(MismatchError):
+            is_full_idempotent(other.unit(1, 1), self.MP, 2)
+        with pytest.raises(MismatchError):
+            corner_filtered_dims(other.unit(1, 1), self.MP, 2)
+
+    def test_certificate_that_does_not_reduce_is_an_error(self, monkeypatch):
+        real = morita._certificate_residue
+
+        def off_by_one(e, MP, certificate):
+            return real(e, MP, certificate) + NCPoly.one(MP.pres.field, MP.pres.num_gens)
+
+        monkeypatch.setattr(morita, "_certificate_residue", off_by_one)
+        with pytest.raises(ValueError, match="certificate"):
+            is_full_idempotent(self.MP.unit(1, 1), self.MP, 2)
+        assert run(["full", "--n", "2", "--elem", "e11", "--maxdeg", "2"]) == 2
+
+    def test_cli_full_completes_one_basis(self, monkeypatch, capsys):
+        degrees = []
+
+        def counting(P, maxdeg):
+            degrees.append(maxdeg)
+            return groebner(P, maxdeg)
+
+        monkeypatch.setattr(morita, "groebner", counting)
+        assert run(["full", "--n", "2", "--elem", "e11", "--maxdeg", "3"]) == 0
+        assert "re-verified: ok" in capsys.readouterr().out
+        assert degrees == [4]
 
 
 class TestCorner:

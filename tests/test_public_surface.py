@@ -9,6 +9,7 @@ harness files themselves.
 import ast
 import importlib
 import importlib.util
+import inspect
 import pathlib
 import types
 
@@ -109,3 +110,43 @@ def test_tracer_targets_resolve():
             cls = getattr(importlib.import_module(home), cls_name)
             # the tracer patches only methods the class itself defines
             assert attr in vars(cls), f"{home}.{cls_name}.{attr}"
+
+
+def _fpalg_calls(path):
+    """(line, callee, positional count, keyword names) for every call in a
+    file of an fpalg name it imports, or of an attribute of one such as
+    Scalar.from_int."""
+    imported = {name: module for module, name in _fpalg_imports(path)}
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        if isinstance(func, ast.Name) and func.id in imported:
+            callee = getattr(importlib.import_module(imported[func.id]), func.id)
+        elif (
+            isinstance(func, ast.Attribute)
+            and isinstance(func.value, ast.Name)
+            and func.value.id in imported
+        ):
+            owner = getattr(importlib.import_module(imported[func.value.id]), func.value.id)
+            callee = getattr(owner, func.attr, None)
+            assert callee is not None, f"line {node.lineno}: {func.value.id}.{func.attr}"
+        else:
+            continue
+        # the harness spells out every argument; a starred one would hide its count
+        assert not any(isinstance(a, ast.Starred) for a in node.args), node.lineno
+        assert all(k.arg is not None for k in node.keywords), node.lineno
+        out.append((node.lineno, callee, len(node.args), [k.arg for k in node.keywords]))
+    return out
+
+
+def test_workload_calls_bind():
+    calls = _fpalg_calls(PERFBENCH / "workloads.py")
+    assert len(calls) > 50
+    for line, callee, positional, keywords in calls:
+        signature = inspect.signature(callee)
+        try:
+            signature.bind(*[None] * positional, **dict.fromkeys(keywords))
+        except TypeError as exc:
+            raise AssertionError(f"workloads.py line {line}: {callee.__qualname__}{signature}: {exc}")
