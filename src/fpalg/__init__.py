@@ -49,6 +49,7 @@ from .rewrite import (
     TruncatedGB,
     graded_dimension,
     groebner,
+    hilbert_series,
     ideal_membership,
     is_generating,
     normal_form,

@@ -32,8 +32,8 @@ from .presentation import (
     twist,
 )
 from .rewrite import (
-    graded_dimension,
     groebner,
+    hilbert_series,
     ideal_membership,
     is_generating,
     normal_form,
@@ -268,9 +268,7 @@ def _cmd_nf(args):
 def _cmd_hilbert(args):
     if args.upto < 0:
         raise ValueError("--upto must be >= 0")
-    P = _load_presentation(args)
-    maxdeg = max(args.upto, P.max_relation_degree())
-    dims = [graded_dimension(P, n, maxdeg) for n in range(args.upto + 1)]
+    dims = hilbert_series(_load_presentation(args), args.upto)
     return 0, {"dims": dims}, [f"{n} {dim}" for n, dim in enumerate(dims)]
 
 

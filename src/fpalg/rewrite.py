@@ -203,6 +203,16 @@ def normal_form(f, gb):
 # ---------------------------------------------------------------------------
 
 
+def _check_truncation(P, maxdeg):
+    """The requirements on a truncated completion of P at maxdeg."""
+    if not isinstance(P, Presentation):
+        raise TypeError("groebner expects a Presentation")
+    if maxdeg < P.max_relation_degree():
+        raise ValueError(
+            f"maxdeg {maxdeg} below maximal relation degree {P.max_relation_degree()}"
+        )
+
+
 def groebner(P, maxdeg):
     """Reduced truncated Groebner basis of P's relation ideal.
 
@@ -215,12 +225,7 @@ def groebner(P, maxdeg):
     a new leading word L overlaps u exactly where a proper suffix of L is a
     proper prefix of u, or a proper prefix of L a proper suffix of u.
     """
-    if not isinstance(P, Presentation):
-        raise TypeError("groebner expects a Presentation")
-    if maxdeg < P.max_relation_degree():
-        raise ValueError(
-            f"maxdeg {maxdeg} below maximal relation degree {P.max_relation_degree()}"
-        )
+    _check_truncation(P, maxdeg)
     m = P.num_gens
 
     live = {}          # seq -> monic poly
@@ -307,19 +312,24 @@ def groebner(P, maxdeg):
 
 
 def ideal_membership(f, P, maxdeg):
-    """Decide f in the relation ideal via the truncated basis.
+    """Decide f in the relation ideal via a truncated basis.
 
-    A zero normal form certifies membership; a nonzero one is exact for
-    homogeneous P with deg(f) <= maxdeg and otherwise only up-to-degree.
+    A zero normal form certifies membership.  For homogeneous P the basis is
+    completed to max(deg f, maximal relation degree) only, and a nonzero
+    normal form is exact as well: reduction never raises the degree of a
+    homogeneous component of f, so each one meets only basis elements of at
+    most its own degree, and those agree with the ones of any deeper
+    truncation.  Inhomogeneous P is completed to maxdeg, because its
+    reductions can pass through higher degrees; there a nonzero normal form
+    only holds up to maxdeg.
     """
     if f.degree() > maxdeg:
         raise ValueError("polynomial degree exceeds maxdeg")
-    gb = groebner(P, maxdeg)
-    nf = normal_form(f, gb)
-    if nf.poly.is_zero():
-        return MembershipVerdict(True, True, maxdeg)
-    exact = P.is_homogeneous() and nf.verified
-    return MembershipVerdict(False, exact, maxdeg)
+    _check_truncation(P, maxdeg)
+    homogeneous = P.is_homogeneous()
+    degree = max(f.degree(), P.max_relation_degree()) if homogeneous else maxdeg
+    member = normal_form(f, groebner(P, degree)).poly.is_zero()
+    return MembershipVerdict(member, member or homogeneous, maxdeg)
 
 
 class FactorAvoider:
@@ -381,11 +391,10 @@ class FactorAvoider:
                 queue.append(child)
         return order
 
-    def count(self, length):
-        """Number of words of exactly this length avoiding all factors."""
-        if self.trivial_dead:
-            return 0
-        vec = {0: 1}
+    def counts(self, length):
+        """Numbers of avoiding words of each length 0..length, in one pass."""
+        vec = {} if self.trivial_dead else {0: 1}
+        out = [sum(vec.values())]
         for _ in range(length):
             nxt = {}
             for state, ways in vec.items():
@@ -396,10 +405,15 @@ class FactorAvoider:
                         continue
                     nxt[target] = nxt.get(target, 0) + ways
             vec = nxt
-        return sum(vec.values())
+            out.append(sum(vec.values()))
+        return out[: length + 1]
+
+    def count(self, length):
+        """Number of words of exactly this length avoiding all factors."""
+        return self.counts(length)[length]
 
     def count_up_to(self, length):
-        return sum(self.count(n) for n in range(length + 1))
+        return sum(self.counts(length))
 
     def words_up_to(self, length):
         """The avoiding words of each length 0..length, each list in lex order.
@@ -420,12 +434,7 @@ class FactorAvoider:
         return levels
 
 
-def graded_dimension(P, n, maxdeg):
-    """Dimension of the degree-n component of the quotient algebra.
-
-    Counts deglex-normal words of length n with respect to the truncated
-    basis; exact for homogeneous relations with n <= maxdeg.
-    """
+def _check_graded(P, n):
     if not P.is_homogeneous():
         raise ValueError(
             "graded dimension needs homogeneous relations; "
@@ -433,10 +442,35 @@ def graded_dimension(P, n, maxdeg):
         )
     if n < 0:
         raise ValueError("degree must be >= 0")
+
+
+def hilbert_series(P, upto):
+    """Dimensions of the degree 0..upto components of the quotient algebra.
+
+    One basis, completed to max(upto, maximal relation degree), and one
+    count of its deglex-normal words per length.  Exact for homogeneous
+    relations: a word of length n meets only leading words of length <= n,
+    and the basis truncated at any degree >= n has the same ones.
+    """
+    _check_graded(P, upto)
+    gb = groebner(P, max(upto, P.max_relation_degree()))
+    return FactorAvoider(P.num_gens, gb.leading_words()).counts(upto)
+
+
+def graded_dimension(P, n, maxdeg):
+    """Dimension of the degree-n component of the quotient algebra.
+
+    The last entry of hilbert_series(P, n): the basis is completed to
+    max(n, maximal relation degree), not to maxdeg, since no deeper element
+    can change the count at length n.  maxdeg is still checked as the
+    request's bound, so n <= maxdeg and maxdeg >= the maximal relation
+    degree are required.
+    """
+    _check_graded(P, n)
     if n > maxdeg:
         raise ValueError("degree exceeds maxdeg")
-    gb = groebner(P, maxdeg)
-    return FactorAvoider(P.num_gens, gb.leading_words()).count(n)
+    _check_truncation(P, maxdeg)
+    return hilbert_series(P, n)[n]
 
 
 class Span:

@@ -49,10 +49,10 @@ def _row_of(poly, rational):
     return {w: c for w, c in poly.terms()}
 
 
-def graded_dimension_oracle(P, n):
-    """Exact degree-n dimension of the quotient for homogeneous relations."""
+def _ideal_rows(P, n, rational):
+    """The products u * r * v of degree n, as rows: they span the degree-n
+    part of a homogeneous relation ideal."""
     m = P.num_gens
-    rational = P.field.num_generators == 0
     rows = []
     for r in P.relations:
         d = r.degree()
@@ -63,4 +63,25 @@ def graded_dimension_oracle(P, n):
             for u in all_words(m, left_len):
                 for v in all_words(m, right_len):
                     rows.append(_row_of(r.mul_word(u, v), rational))
-    return m ** n - sparse_field_rank(rows)
+    return rows
+
+
+def graded_dimension_oracle(P, n):
+    """Exact degree-n dimension of the quotient for homogeneous relations."""
+    rational = P.field.num_generators == 0
+    return P.num_gens ** n - sparse_field_rank(_ideal_rows(P, n, rational))
+
+
+def ideal_membership_oracle(P, f):
+    """Exact membership of f in a homogeneous relation ideal: each
+    homogeneous component of f must lie in the span of the u * r * v of its
+    degree."""
+    rational = P.field.num_generators == 0
+    by_degree = {}
+    for w, c in _row_of(f, rational).items():
+        by_degree.setdefault(len(w), {})[w] = c
+    for n, component in by_degree.items():
+        rows = _ideal_rows(P, n, rational)
+        if sparse_field_rank(rows + [component]) > sparse_field_rank(rows):
+            return False
+    return True

@@ -1,0 +1,229 @@
+"""Graded verdicts complete only to the degree they can see.
+
+For homogeneous relations a word of length n meets only leading words of
+length <= n, so graded_dimension, hilbert_series and ideal_membership
+complete to max(degree asked, maximal relation degree) instead of to the
+bound maxdeg.  These tests pin the degree each one hands to groebner, the
+errors they keep raising before any completion, and their answers against
+the u * r * v span oracle on presentations mixing relation degrees 1 to 3.
+"""
+
+import pathlib
+import random
+
+import pytest
+
+from fpalg import (
+    FieldSpec,
+    NCPoly,
+    Presentation,
+    Scalar,
+    graded_dimension,
+    hilbert_series,
+    ideal_membership,
+    make_aalpha,
+    parse_presentation,
+)
+from fpalg import rewrite
+from fpalg.cli import run
+from randgen import random_word, simple_scalar
+from span_oracle import graded_dimension_oracle, ideal_membership_oracle
+
+Q = FieldSpec(0)
+QT = FieldSpec(1)
+INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
+
+
+def a_t():
+    return make_aalpha(Scalar.generator(QT, 0))
+
+
+def projector():
+    return parse_presentation((INPUTS / "projector.alg").read_text())
+
+
+def cubic():
+    # x1*x1*x2 = x2*x1*x1 over Q: one relation of degree 3
+    one = Scalar.one(Q)
+    rel = NCPoly.from_terms(Q, 2, [((0, 0, 1), one), ((1, 0, 0), -one)])
+    return Presentation(Q, ("x1", "x2"), (rel,))
+
+
+@pytest.fixture
+def degrees(monkeypatch):
+    """The maxdeg of every groebner call made through fpalg.rewrite."""
+    seen = []
+    real = rewrite.groebner
+
+    def counting(P, maxdeg):
+        seen.append(maxdeg)
+        return real(P, maxdeg)
+
+    monkeypatch.setattr(rewrite, "groebner", counting)
+    return seen
+
+
+# ---------------------------------------------------------------------------
+# the degree each verdict completes to
+# ---------------------------------------------------------------------------
+
+
+def test_cli_hilbert_completes_once(degrees, capsys):
+    assert run(["hilbert", "--file", str(INPUTS / "aalpha_t.alg"), "--upto", "5"]) == 0
+    assert capsys.readouterr().out.split("\n")[:6] == [f"{n} {n + 1}" for n in range(6)]
+    assert degrees == [5]
+
+
+def test_cli_hilbert_below_relation_degree_completes_at_it(degrees, capsys):
+    assert run(["hilbert", "--file", str(INPUTS / "aalpha_t.alg"), "--upto", "1"]) == 0
+    assert capsys.readouterr().out == "0 1\n1 2\n"
+    assert degrees == [2]
+
+
+@pytest.mark.parametrize(
+    "make, expected", [(a_t, [2, 2, 2, 3, 4]), (cubic, [3, 3, 3, 3, 4])]
+)
+def test_graded_dimension_completes_to_max_of_n_and_relation_degree(make, expected, degrees):
+    P = make()
+    dims = [graded_dimension(P, n, 4) for n in range(5)]
+    assert degrees == expected
+    assert dims == [graded_dimension_oracle(P, n) for n in range(5)]
+
+
+def test_membership_completes_to_what_the_verdict_sees(degrees):
+    P = a_t()
+    x1, x2 = (NCPoly.gen(QT, 2, i) for i in range(2))
+    relation = P.relations[0]
+    verdict = ideal_membership(x1, P, 4)
+    assert (verdict.member, verdict.exact, verdict.bound) == (False, True, 4)
+    assert ideal_membership(x1 * relation, P, 4).member
+    assert ideal_membership(relation * x2 + x1 * x1 * x1 * x2, P, 4).exact
+    assert degrees == [2, 3, 4]
+    # inhomogeneous relations keep the requested bound: reductions of
+    # x1 - 1 by x1*x1 - x1 may pass through higher degrees
+    del degrees[:]
+    P = projector()
+    x1 = NCPoly.gen(Q, 1, 0)
+    verdict = ideal_membership(x1 - NCPoly.one(Q, 1), P, 5)
+    assert (verdict.member, verdict.exact, verdict.bound) == (False, False, 5)
+    assert degrees == [5]
+
+
+# ---------------------------------------------------------------------------
+# the errors, raised before any completion
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: graded_dimension(a_t(), 1, 1), "maxdeg 1 below maximal relation degree 2"),
+        (lambda: graded_dimension(cubic(), 0, 2), "maxdeg 2 below maximal relation degree 3"),
+        (lambda: graded_dimension(a_t(), 3, 2), "degree exceeds maxdeg"),
+        (lambda: graded_dimension(a_t(), -1, 4), "degree must be >= 0"),
+        (lambda: graded_dimension(projector(), 1, 3), "needs homogeneous relations"),
+        (lambda: hilbert_series(projector(), 3), "needs homogeneous relations"),
+        (lambda: hilbert_series(a_t(), -1), "degree must be >= 0"),
+        (
+            lambda: ideal_membership(NCPoly.gen(QT, 2, 0), a_t(), 1),
+            "maxdeg 1 below maximal relation degree 2",
+        ),
+        (
+            lambda: ideal_membership(NCPoly.gen(Q, 1, 0), projector(), 1),
+            "maxdeg 1 below maximal relation degree 2",
+        ),
+        (
+            lambda: ideal_membership(NCPoly.monomial(QT, 2, (0, 1, 0)), a_t(), 2),
+            "polynomial degree exceeds maxdeg",
+        ),
+    ],
+)
+def test_contract_errors(call, message, degrees):
+    with pytest.raises(ValueError, match=message):
+        call()
+    assert degrees == []
+
+
+def test_cli_member_below_relation_degree_exits_2(capsys):
+    argv = ["member", "--file", str(INPUTS / "aalpha_t.alg"), "--expr", "x1", "--maxdeg", "1"]
+    assert run(argv) == 2
+    assert "below maximal relation degree 2" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# differential: engine against the u * r * v spans, relation degrees 1 to 3
+# ---------------------------------------------------------------------------
+
+
+def homogeneous_poly(rng, field, num_gens, degree, n_terms=3):
+    pairs = {}
+    for _ in range(rng.randint(1, n_terms)):
+        pairs[random_word(rng, num_gens, degree, min_len=degree)] = simple_scalar(
+            rng, field, allow_fraction=False, nonzero=True
+        )
+    return NCPoly.from_terms(field, num_gens, pairs.items())
+
+
+def mixed_degree_presentation(rng, field, num_gens, degrees):
+    names = tuple(f"x{i + 1}" for i in range(num_gens))
+    rels = tuple(homogeneous_poly(rng, field, num_gens, d) for d in degrees)
+    return Presentation(field, names, rels)
+
+
+def corpus():
+    rng = random.Random(1401)
+    out = [
+        Presentation(Q, ("x1", "x2"), ()),
+        Presentation(Q, ("x1", "x2"), (NCPoly.one(Q, 2),)),
+        Presentation(QT, ("x1",), ()),
+        cubic(),
+    ]
+    for degrees in ((1,), (3,), (1, 2), (2, 3), (3, 3), (1, 3), (2, 2, 3)):
+        out.append(mixed_degree_presentation(rng, Q, rng.choice((2, 3)), degrees))
+    for degrees in ((1,), (2,), (3,), (1, 2), (2, 3)):
+        out.append(mixed_degree_presentation(rng, QT, 2, degrees))
+    return rng, out
+
+
+def ideal_element(rng, P, degree):
+    acc = NCPoly.zero(P.field, P.num_gens)
+    for r in P.relations:
+        if r.degree() > degree:
+            continue
+        left = rng.randint(0, degree - r.degree())
+        u = tuple(rng.randrange(P.num_gens) for _ in range(left))
+        v = tuple(rng.randrange(P.num_gens) for _ in range(degree - r.degree() - left))
+        acc = acc + r.mul_word(u, v).scale(simple_scalar(rng, P.field, nonzero=True))
+    return acc
+
+
+def probes(rng, P):
+    """Members, non-members and mixed-degree polynomials of degree <= 4."""
+    m, field = P.num_gens, P.field
+    out = [NCPoly.zero(field, m), NCPoly.one(field, m)]
+    for degree in range(1, 5):
+        member = ideal_element(rng, P, degree)
+        noise = homogeneous_poly(rng, field, m, degree, n_terms=2)
+        out += [member, member + noise, noise]
+    out.append(ideal_element(rng, P, 2) + ideal_element(rng, P, 4))
+    out.append(ideal_element(rng, P, 1) + homogeneous_poly(rng, field, m, 3, n_terms=2))
+    return out
+
+
+def test_dimensions_and_membership_match_the_span_oracle():
+    rng, presentations = corpus()
+    sides = set()
+    for P in presentations:
+        maxrel = P.max_relation_degree()
+        series = hilbert_series(P, 4)
+        for n in range(5):
+            expected = graded_dimension_oracle(P, n)
+            assert graded_dimension(P, n, max(4, maxrel)) == expected
+            assert series[n] == expected
+            sides.add((n > maxrel) - (n < maxrel))
+        for f in probes(rng, P):
+            verdict = ideal_membership(f, P, 4)
+            assert (verdict.member, verdict.exact, verdict.bound) == (
+                ideal_membership_oracle(P, f), True, 4
+            ), (str(P), f.to_text(P.generators))
+    assert sides == {-1, 0, 1}

@@ -46,6 +46,7 @@ PUBLIC_NAMES = [
     "form_of",
     "graded_dimension",
     "groebner",
+    "hilbert_series",
     "ideal_membership",
     "invert",
     "is_full_idempotent",
