@@ -2,9 +2,12 @@
 
 A_alpha is the algebra on two generators with the single relation
 x1^2 + x2^2 + alpha*x1*x2 = 0.  Two members are isomorphic exactly when the
-parameters agree up to sign; the decision is backed by an explicit 2x2
-congruence analysis of the relation's coefficient form (1 alpha; 0 1) and a
-brute-force witness search over small prime fields as an independent oracle.
+parameters agree up to sign.  One comparison of beta with +alpha and -alpha
+makes the decision: a match gives the congruence witness Q = diag(1, +-1),
+gamma = 1, of the relation's coefficient form (1 alpha; 0 1), and the
+generator images of the isomorphism are read off Q; no match gives the
+certificate below.  A brute-force witness search over small prime fields is
+an independent oracle.
 
 The not-congruent certificate comes from two invariants of a congruence
 Q^T * F_beta * Q = gamma * F_alpha with Q invertible, gamma != 0:
@@ -111,47 +114,54 @@ def congruence_check(alpha, beta, witness):
     return lhs == rhs
 
 
+def _sign(alpha, beta):
+    """1 when beta = alpha, -1 when beta = -alpha otherwise, else None."""
+    if beta == alpha:
+        return 1
+    if beta == -alpha:
+        return -1
+    return None
+
+
 def decide_form_congruence(alpha, beta):
     """Closed-form congruence decision with witness or certificate.
 
-    Congruent exactly when beta = +-alpha: Q = I for the same sign, Q =
-    diag(1, -1) for the opposite sign, gamma = 1 in both cases.  Otherwise
-    the invariant chain in the module docstring shows beta^2 = alpha^2 would
-    be forced, so the evaluated pair (beta^2, alpha^2) refutes all witnesses.
+    Congruent exactly when beta = +-alpha, with Q = diag(1, +-1) of the same
+    sign and gamma = 1.  Otherwise the invariant chain in the module
+    docstring shows beta^2 = alpha^2 would be forced, so the evaluated pair
+    (beta^2, alpha^2) refutes all witnesses.
     """
     if isinstance(alpha, ModScalar) or isinstance(beta, ModScalar):
         raise TypeError("decide_form_congruence needs characteristic-0 scalars")
+    sign = _sign(alpha, beta)
+    if sign is None:
+        return CongruenceDecision(False, certificate=(beta * beta, alpha * alpha))
     one, zero = one_like(alpha), zero_like(alpha)
-    if beta == alpha:
-        return CongruenceDecision(
-            True, CongruenceWitness(mat2_identity(alpha), one)
-        )
-    if beta == -alpha:
-        return CongruenceDecision(
-            True, CongruenceWitness(mat2(one, zero, zero, -one), one)
-        )
-    return CongruenceDecision(False, certificate=(beta * beta, alpha * alpha))
+    q = mat2(one, zero, zero, one if sign == 1 else -one)
+    return CongruenceDecision(True, CongruenceWitness(q, one))
 
 
 def iso_aalpha(alpha, beta):
-    """Whether A_alpha and A_beta are isomorphic: beta = +-alpha."""
-    return beta == alpha or beta == -alpha
+    """Whether A_alpha and A_beta are isomorphic: beta = +-alpha.
+
+    Takes ModScalar parameters as well, for comparisons over F_p.
+    """
+    return _sign(alpha, beta) is not None
 
 
 def iso_witness(alpha, beta):
     """Generator images realizing an isomorphism, when one exists.
 
-    Returns (y1, y2) inside A_alpha with y1^2 + y2^2 + beta*y1*y2 in the
-    relation ideal and {y1, y2} generating; absent when not isomorphic.
+    Read off the witness Q of decide_form_congruence: y_i = sum_j Q[i][j] x_j
+    inside A_alpha, so y1^2 + y2^2 + beta*y1*y2 is gamma times the relation
+    of A_alpha and {y1, y2} generates; absent when not isomorphic.
     """
-    field = alpha.field
-    x1 = NCPoly.gen(field, 2, 0)
-    x2 = NCPoly.gen(field, 2, 1)
-    if beta == alpha:
-        return (x1, x2)
-    if beta == -alpha:
-        return (x1, -x2)
-    return None
+    decision = decide_form_congruence(alpha, beta)
+    if not decision.congruent:
+        return None
+    q = decision.witness.q
+    x = [NCPoly.gen(alpha.field, 2, j) for j in range(2)]
+    return tuple(x[0].scale(row[0]) + x[1].scale(row[1]) for row in q)
 
 
 def verify_iso_witness(alpha, beta, images):
@@ -178,9 +188,11 @@ def _residue(x, p):
 def search_iso_degree2(alpha, beta, p):
     """Exhaustive degree-2 witness search over F_p (p an odd prime).
 
-    Scans all invertible Q in GL_2(F_p) in lexicographic entry order and all
-    gamma in F_p \\ {0} in ascending order; returns the first witness for
-    Q^T * (1 beta; 0 1) * Q = gamma * (1 alpha; 0 1), or None.
+    Scans all invertible Q in GL_2(F_p) in lexicographic entry order and
+    returns the first witness for Q^T * (1 beta; 0 1) * Q = gamma *
+    (1 alpha; 0 1), or None.  The (1,1) entries force gamma = m11, the
+    (1,1) entry of the left side, so each Q is tested against that one
+    scale; the search does not use the closed-form decision.
     """
     a = _residue(alpha, p)
     b = _residue(beta, p)
@@ -196,21 +208,14 @@ def search_iso_degree2(alpha, beta, p):
                     m12 = (q11 * q12 + b * q11 * q22 + q21 * q22) % p
                     m21 = (q12 * q11 + b * q12 * q21 + q22 * q21) % p
                     m22 = (q12 * q12 + b * q12 * q22 + q22 * q22) % p
-                    if m21 != 0:
-                        continue
-                    for gamma in range(1, p):
-                        if (
-                            m11 == gamma
-                            and m22 == gamma
-                            and m12 == (gamma * a) % p
-                        ):
-                            q = mat2(
-                                ModScalar(q11, p),
-                                ModScalar(q12, p),
-                                ModScalar(q21, p),
-                                ModScalar(q22, p),
-                            )
-                            return CongruenceWitness(q, ModScalar(gamma, p))
+                    if m21 == 0 and m11 and m22 == m11 and m12 == (m11 * a) % p:
+                        q = mat2(
+                            ModScalar(q11, p),
+                            ModScalar(q12, p),
+                            ModScalar(q21, p),
+                            ModScalar(q22, p),
+                        )
+                        return CongruenceWitness(q, ModScalar(m11, p))
     return None
 
 

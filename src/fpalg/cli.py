@@ -17,6 +17,7 @@ from .aalpha import (
     iso_witness,
     orbit_sample,
     search_iso_degree2,
+    verify_iso_witness,
 )
 from .morita import (
     DegreeBudgetError,
@@ -300,6 +301,8 @@ def _cmd_aalpha_iso(args):
     decision = decide_form_congruence(alpha, beta)
     if decision.congruent:
         images = iso_witness(alpha, beta)
+        if not verify_iso_witness(alpha, beta, images):
+            raise ValueError("isomorphism witness failed its re-check")
         witness = ", ".join(
             f"x{i + 1} -> {img.to_text(('x1', 'x2'))}" for i, img in enumerate(images)
         )

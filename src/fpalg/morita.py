@@ -255,9 +255,9 @@ def corner_filtered_dims(e, MP, d):
     basis is confluent up to gbdeg, so NF is linear there and sends those
     terms to zero.  Hence NF(e*w*e) lies in the span of NF(e*w'*e) over
     normal w' with |w'| <= |w|, and the span at every c, so every dim, is
-    the one over all words.  The normal words come from the automaton over
-    the leading words; a prefix of a normal word is normal, so the prefix
-    cache always holds w[:-1].
+    the one over all words.  The normal words come from a FactorAvoider
+    over the leading words; a prefix of a normal word is normal, so the
+    prefix cache always holds w[:-1].
     """
     if d < 0:
         raise ValueError("corner degree must be >= 0")

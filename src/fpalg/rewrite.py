@@ -335,74 +335,50 @@ def ideal_membership(f, P, maxdeg):
 class FactorAvoider:
     """Counts and lists words containing none of a set of forbidden factors.
 
-    Aho-Corasick automaton over the forbidden words; the avoiding words are
-    the paths from the root that never enter a terminal state.  The DP
-    transfer is deterministic and linear in length x states x alphabet.
+    The state of an avoiding word u is its longest suffix that is a proper
+    prefix of a forbidden word, and it alone decides a step by a letter x.
+    A forbidden factor of u*x is a suffix of u*x, as u avoids them all, and
+    its part before x is a suffix of u and a proper prefix of a forbidden
+    word, so no longer than the state: it is a suffix of state*x.  So is the
+    next state, for the same reason.  One step thus looks up the suffixes of
+    state*x in the forbidden words and in their proper prefixes; each
+    state's row of steps is built on first use and kept on this instance.
     """
 
     def __init__(self, num_gens, forbidden):
         self.num_gens = num_gens
-        self.trivial_dead = any(len(w) == 0 for w in forbidden)
-        children = [{}]
-        terminal = [False]
-        for word in forbidden:
-            node = 0
-            for letter in word:
-                if letter not in children[node]:
-                    children.append({})
-                    terminal.append(False)
-                    children[node][letter] = len(children) - 1
-                node = children[node][letter]
-            terminal[node] = True
-        fail = [0] * len(children)
-        queue = deque()
-        for letter, child in children[0].items():
-            queue.append(child)
-        while queue:
-            node = queue.popleft()
-            for letter, child in children[node].items():
-                f = fail[node]
-                while f and letter not in children[f]:
-                    f = fail[f]
-                fail[child] = children[f].get(letter, 0)
-                terminal[child] = terminal[child] or terminal[fail[child]]
-                queue.append(child)
-        # dense transition table
-        table = [[0] * num_gens for _ in children]
-        for node in self._bfs_order(children):
-            for letter in range(num_gens):
-                if letter in children[node]:
-                    table[node][letter] = children[node][letter]
-                elif node == 0:
-                    table[node][letter] = 0
-                else:
-                    table[node][letter] = table[fail[node]][letter]
-        self._table = table
-        self._terminal = terminal
+        self._forbidden = set(forbidden)
+        self.trivial_dead = () in self._forbidden
+        self._prefixes = {w[:cut] for w in self._forbidden for cut in range(len(w))}
+        self._rows = {}
 
-    @staticmethod
-    def _bfs_order(children):
-        order = [0]
-        queue = deque([0])
-        while queue:
-            node = queue.popleft()
-            for child in children[node].values():
-                order.append(child)
-                queue.append(child)
-        return order
+    def _row(self, state):
+        """(letter, next state) for each letter that keeps a word avoiding."""
+        row = self._rows.get(state)
+        if row is None:
+            row = []
+            for letter in range(self.num_gens):
+                word = state + (letter,)
+                target = ()
+                for cut in range(len(word) + 1):  # longest suffix first
+                    tail = word[cut:]
+                    if tail in self._forbidden:
+                        break
+                    if not target and tail in self._prefixes:
+                        target = tail
+                else:
+                    row.append((letter, target))
+            self._rows[state] = row
+        return row
 
     def counts(self, length):
         """Numbers of avoiding words of each length 0..length, in one pass."""
-        vec = {} if self.trivial_dead else {0: 1}
+        vec = {} if self.trivial_dead else {(): 1}
         out = [sum(vec.values())]
         for _ in range(length):
             nxt = {}
             for state, ways in vec.items():
-                row = self._table[state]
-                for letter in range(self.num_gens):
-                    target = row[letter]
-                    if self._terminal[target]:
-                        continue
+                for _, target in self._row(state):
                     nxt[target] = nxt.get(target, 0) + ways
             vec = nxt
             out.append(sum(vec.values()))
@@ -421,14 +397,13 @@ class FactorAvoider:
         Every length extends the previous one letter by letter, so only
         avoiding words are ever built; a prefix of an avoiding word avoids.
         """
-        level = [] if self.trivial_dead else [((), 0)]
+        level = [] if self.trivial_dead else [((), ())]
         levels = [[word for word, _ in level]]
         for _ in range(length):
             level = [
                 (word + (letter,), target)
                 for word, state in level
-                for letter, target in enumerate(self._table[state])
-                if not self._terminal[target]
+                for letter, target in self._row(state)
             ]
             levels.append([word for word, _ in level])
         return levels

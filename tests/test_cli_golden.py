@@ -72,6 +72,21 @@ def test_type_error_in_a_handler_propagates(monkeypatch):
         run_cli(["print", "--file", str(GOLDEN / "inputs" / "aalpha_t.alg")])
 
 
+def test_aalpha_iso_rechecks_its_witness(monkeypatch):
+    # a wrong witness must not be printed as ISO
+    from fpalg import cli
+
+    def wrong(alpha, beta):
+        x1 = fpalg.NCPoly.gen(alpha.field, 2, 0)
+        return (x1, x1)
+
+    monkeypatch.setattr(cli, "iso_witness", wrong)
+    code, out, err = run_cli(["aalpha-iso", "--alpha", "t", "--beta=-t"])
+    assert code == 2
+    assert "ISO" not in out
+    assert err.startswith("error:")
+
+
 # Runs every golden case through fpalg.cli.run in one fresh interpreter and
 # prints (exit code, stdout, stderr) per case as JSON.
 _GOLDEN_RUNNER = """

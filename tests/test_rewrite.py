@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -177,25 +178,50 @@ class TestGradedDimension:
                 assert graded_dimension(P, n, 5) == graded_dimension_oracle(P, n)
 
 
+# forbidden words over letters 0..4, each letter taken mod the alphabet size
+AVOIDER_CASES = {
+    "no-words": [],
+    "empty-word": [(), (0, 1)],
+    "duplicates": [(0, 1), (1, 1), (0, 1)],
+    "word-contains-another": [(0, 1, 2, 0), (1, 2), (2, 0, 1, 2, 1)],
+    "single-letters": [(0,), (2,)],
+    "overlapping": [(0, 0), (0, 1, 0), (3, 1, 3)],
+    "last-letters": [(4, 3), (4, 4, 4), (3, 4, 1, 0)],
+}
+
+
+def brute_force_levels(m, forbidden, n):
+    """The avoiding words of each length 0..n, each list in lex order."""
+    return [
+        [
+            w for w in itertools.product(range(m), repeat=k)
+            if not any(w[i : i + len(f)] == f for f in forbidden for i in range(k - len(f) + 1))
+        ]
+        for k in range(n + 1)
+    ]
+
+
 class TestFactorAvoider:
     def test_against_brute_force(self):
         rng = random.Random(73)
-        from itertools import product as iproduct
-
         for _ in range(30):
             m = rng.choice((2, 3))
             forbidden = [random_word(rng, m, 3, min_len=1) for _ in range(rng.randint(1, 3))]
             avoider = FactorAvoider(m, forbidden)
-            for n in range(5):
-                brute = 0
-                for w in iproduct(range(m), repeat=n):
-                    if not any(
-                        w[i : i + len(f)] == f
-                        for f in forbidden
-                        for i in range(n - len(f) + 1)
-                    ):
-                        brute += 1
-                assert avoider.count(n) == brute
+            for n, level in enumerate(brute_force_levels(m, forbidden, 4)):
+                assert avoider.count(n) == len(level)
+
+    @pytest.mark.parametrize("name", sorted(AVOIDER_CASES))
+    @pytest.mark.parametrize("m, n", [(1, 6), (2, 6), (3, 6), (4, 6), (11, 3)])
+    def test_lists_and_counts_like_brute_force(self, m, n, name):
+        # m = 11 is the alphabet of M_3 over a 2-generator base
+        forbidden = [tuple(letter % m for letter in w) for w in AVOIDER_CASES[name]]
+        levels = brute_force_levels(m, forbidden, n)
+        avoider = FactorAvoider(m, forbidden)
+        assert avoider.trivial_dead == (() in forbidden)
+        assert avoider.words_up_to(n) == levels
+        assert avoider.counts(n) == [len(level) for level in levels]
+        assert avoider.count_up_to(n) == sum(len(level) for level in levels)
 
 
 class TestGeneration:
