@@ -64,11 +64,6 @@ def mat2_scale(c, A):
     return ((c * A[0][0], c * A[0][1]), (c * A[1][0], c * A[1][1]))
 
 
-def mat2_identity(like):
-    one, zero = one_like(like), zero_like(like)
-    return mat2(one, zero, zero, one)
-
-
 @dataclass(frozen=True)
 class CongruenceWitness:
     """An invertible change of basis Q and a nonzero scale gamma."""

@@ -395,7 +395,7 @@ def run(argv=None):
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except FileNotFoundError as exc:
+    except OSError as exc:  # a missing or unreadable input path
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
     except DegreeBudgetError as exc:

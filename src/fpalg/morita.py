@@ -134,7 +134,7 @@ def filtered_dimension(MP, d):
     if d < 2:
         raise ValueError("filtration degree must be >= 2")
     gb = _groebner_for(MP, d + 2)
-    avoider = FactorAvoider(MP.pres.num_gens, gb.leading_words())
+    avoider = FactorAvoider(MP.pres.num_gens, gb.entries())
     return avoider.count_up_to(d)
 
 
@@ -268,7 +268,7 @@ def corner_filtered_dims(e, MP, d):
     entries = gb.entries()
 
     m = MP.pres.num_gens
-    normal = FactorAvoider(m, gb.leading_words()).words_up_to(d)
+    normal = FactorAvoider(m, entries).words_up_to(d)
     span = Span()
     dims = []
     left = {(): reduce_by_entries(e, entries)}  # w -> NF(e * w)

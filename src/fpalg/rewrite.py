@@ -26,19 +26,23 @@ from .scalars import MismatchError, Scalar
 
 
 class ReductionIndex:
-    """Leading word -> (deglex key, word, monic poly) of a set of reducers.
+    """Leading word -> (deglex key, word, monic poly) of a set of reducers,
+    and each nonempty proper prefix and suffix -> the leading words with it.
 
-    find() answers "which reducer applies to this word" by looking up the
-    factors of the word, shortest first, instead of scanning every reducer.
-    Iterating yields (leading word, poly) pairs in ascending deglex order.
+    Reduction asks find(), completion asks starting_with() and ending_with()
+    for overlap partners, normal-word enumeration `w in index` and
+    starting_with().  Iterating yields (leading word, poly) pairs in
+    ascending deglex order.
     """
 
-    __slots__ = ("_by_word", "_lengths", "_per_length")
+    __slots__ = ("_by_word", "_lengths", "_per_length", "_by_prefix", "_by_suffix")
 
     def __init__(self, entries=()):
         self._by_word = {}
         self._lengths = []  # distinct leading-word lengths, ascending
         self._per_length = {}  # length -> number of leading words
+        self._by_prefix = {}  # proper prefix -> leading words starting with it
+        self._by_suffix = {}  # proper suffix -> leading words ending with it
         for lw, g in entries:
             if lw not in self._by_word:
                 self.add(lw, g)
@@ -50,6 +54,9 @@ class ReductionIndex:
             self._per_length[n] = 0
         self._per_length[n] += 1
         self._by_word[lw] = (deglex_key(lw), lw, g)
+        for cut in range(1, n):
+            self._by_prefix.setdefault(lw[:cut], set()).add(lw)
+            self._by_suffix.setdefault(lw[cut:], set()).add(lw)
 
     def remove(self, lw):
         del self._by_word[lw]
@@ -58,6 +65,22 @@ class ReductionIndex:
         if not self._per_length[n]:
             del self._per_length[n]
             self._lengths.remove(n)
+        for cut in range(1, n):
+            for table, part in ((self._by_prefix, lw[:cut]), (self._by_suffix, lw[cut:])):
+                table[part].discard(lw)
+                if not table[part]:
+                    del table[part]
+
+    def __contains__(self, w):
+        return w in self._by_word
+
+    def starting_with(self, part):
+        """The leading words that have part as a nonempty proper prefix."""
+        return self._by_prefix.get(part, ())
+
+    def ending_with(self, part):
+        """The leading words that have part as a nonempty proper suffix."""
+        return self._by_suffix.get(part, ())
 
     def __len__(self):
         return len(self._by_word)
@@ -96,18 +119,11 @@ class TruncatedGB:
     num_gens: int
     basis: tuple
     complete_to: int
-    _index: ReductionIndex = dataclass_field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        index = ReductionIndex((g.leading_word(), g) for g in self.basis)
-        object.__setattr__(self, "_index", index)
+    _index: ReductionIndex = dataclass_field(repr=False, compare=False)
 
     def entries(self):
-        """The basis as a reduction index, built once per basis."""
+        """The basis as the ReductionIndex its completion built; read only."""
         return self._index
-
-    def leading_words(self):
-        return tuple(g.leading_word() for g in self.basis)
 
 
 class NormalForm(NamedTuple):
@@ -220,49 +236,35 @@ def groebner(P, maxdeg):
     pending S-elements by ascending deglex of the overlap word with ties by
     the creation order of the two parents.
 
-    Overlap candidates come from two tables that map each proper prefix and
-    each proper suffix of a live leading word to the elements carrying it:
-    a new leading word L overlaps u exactly where a proper suffix of L is a
-    proper prefix of u, or a proper prefix of L a proper suffix of u.
+    Overlap candidates come from the index of the live leading words: a new
+    leading word L overlaps u exactly where a proper suffix of L is a proper
+    prefix of u, or a proper prefix of L a proper suffix of u.  The index,
+    holding the tail-reduced elements, becomes the basis's own.
     """
     _check_truncation(P, maxdeg)
     m = P.num_gens
 
     live = {}          # seq -> monic poly
-    lw_of = {}         # seq -> leading word
+    seq_of = {}        # leading word -> seq
     index = ReductionIndex()  # the live elements by leading word
-    by_prefix = {}     # proper prefix -> seqs whose leading word starts with it
-    by_suffix = {}     # proper suffix -> seqs whose leading word ends with it
     heap = []          # (deglex key of overlap word, lseq, rseq, a, b)
     work = deque(P.relations)
     seq_counter = 0
-
-    def link(seq, lw):
-        for cut in range(1, len(lw)):
-            by_prefix.setdefault(lw[:cut], set()).add(seq)
-            by_suffix.setdefault(lw[cut:], set()).add(seq)
-
-    def unlink(seq, lw):
-        for cut in range(1, len(lw)):
-            for table, part in ((by_prefix, lw[:cut]), (by_suffix, lw[cut:])):
-                seqs = table[part]
-                seqs.discard(seq)
-                if not seqs:
-                    del table[part]
 
     def push_overlaps(seq, lw):
         # each overlap word a + v = u + b with seq as u or as v, self included
         n = len(lw)
         for shared in range(1, n):
-            for s in by_prefix.get(lw[n - shared:], ()):
-                b = lw_of[s][shared:]
+            for v in index.starting_with(lw[n - shared:]):
+                b = v[shared:]
                 if n + len(b) <= maxdeg:
-                    heapq.heappush(heap, (deglex_key(lw + b), seq, s, lw[: n - shared], b))
+                    entry = (deglex_key(lw + b), seq, seq_of[v], lw[: n - shared], b)
+                    heapq.heappush(heap, entry)
             b = lw[shared:]
-            for s in by_suffix.get(lw[:shared], ()):
-                u = lw_of[s]
-                if s != seq and len(u) + len(b) <= maxdeg:
-                    heapq.heappush(heap, (deglex_key(u + b), s, seq, u[: len(u) - shared], b))
+            for u in index.ending_with(lw[:shared]):
+                if u != lw and len(u) + len(b) <= maxdeg:
+                    entry = (deglex_key(u + b), seq_of[u], seq, u[: len(u) - shared], b)
+                    heapq.heappush(heap, entry)
 
     while work or heap:
         if work:
@@ -278,32 +280,32 @@ def groebner(P, maxdeg):
         f = f.monic()
         new_lw = f.leading_word()
         # f is reduced, so new_lw can only be a factor of longer leading words
-        displaced = [
-            s for s in live
-            if len(lw_of[s]) > len(new_lw) and find_factor(lw_of[s], new_lw) >= 0
-        ]
-        for s in sorted(displaced):
-            work.append(live[s])
-            index.remove(lw_of[s])
-            unlink(s, lw_of[s])
-            del live[s]
-            del lw_of[s]
+        displaced = sorted(
+            (s, u) for u, s in seq_of.items()
+            if len(u) > len(new_lw) and find_factor(u, new_lw) >= 0
+        )
+        for s, u in displaced:
+            work.append(live.pop(s))
+            index.remove(u)
+            del seq_of[u]
         seq = seq_counter
         seq_counter += 1
         live[seq] = f
-        lw_of[seq] = new_lw
+        seq_of[new_lw] = seq
         index.add(new_lw, f)
-        link(seq, new_lw)
         push_overlaps(seq, new_lw)
 
-    # tails into normal form against the other elements
+    # Tails into normal form, in ascending deglex order of leading words.  A
+    # tail meets only elements with smaller leading words, and here those are
+    # already tail-reduced; that gives the same tail as reducing by them as
+    # completed.  Both sets have the same leading words and the same ideal,
+    # and the basis is confluent up to maxdeg, so the normal form is unique.
     final = []
-    order = sorted(live, key=lambda s: deglex_key(lw_of[s]))
-    for s in order:
-        index.remove(lw_of[s])
-        final.append(reduce_by_entries(live[s], index))
-        index.add(lw_of[s], live[s])
-    return TruncatedGB(P.field, m, tuple(final), maxdeg)
+    for lw, g in list(index):
+        index.remove(lw)
+        final.append(reduce_by_entries(g, index))
+        index.add(lw, final[-1])
+    return TruncatedGB(P.field, m, tuple(final), maxdeg, index)
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +335,23 @@ def ideal_membership(f, P, maxdeg):
 
 
 class FactorAvoider:
-    """Counts and lists words containing none of a set of forbidden factors.
+    """Counts and lists the words that contain no leading word of an index.
 
-    The state of an avoiding word u is its longest suffix that is a proper
-    prefix of a forbidden word, and it alone decides a step by a letter x.
-    A forbidden factor of u*x is a suffix of u*x, as u avoids them all, and
-    its part before x is a suffix of u and a proper prefix of a forbidden
-    word, so no longer than the state: it is a suffix of state*x.  So is the
-    next state, for the same reason.  One step thus looks up the suffixes of
-    state*x in the forbidden words and in their proper prefixes; each
+    leading is a ReductionIndex, read and never changed.  The state of an
+    avoiding word u is its longest suffix that is a proper prefix of a
+    leading word, and it alone decides a step by a letter x.  A leading word
+    that is a factor of u*x is a suffix of u*x, as u avoids them all, and its
+    part before x is a suffix of u and a proper prefix of a leading word, so
+    no longer than the state: it is a suffix of state*x.  So is the next
+    state, for the same reason.  One step thus looks up the suffixes of
+    state*x in the index, as leading words and as proper prefixes; each
     state's row of steps is built on first use and kept on this instance.
     """
 
-    def __init__(self, num_gens, forbidden):
+    def __init__(self, num_gens, leading):
         self.num_gens = num_gens
-        self._forbidden = set(forbidden)
-        self.trivial_dead = () in self._forbidden
-        self._prefixes = {w[:cut] for w in self._forbidden for cut in range(len(w))}
+        self._leading = leading
+        self.trivial_dead = () in leading
         self._rows = {}
 
     def _row(self, state):
@@ -359,12 +361,12 @@ class FactorAvoider:
             row = []
             for letter in range(self.num_gens):
                 word = state + (letter,)
-                target = ()
+                target = ()  # the empty word is a prefix of every word
                 for cut in range(len(word) + 1):  # longest suffix first
                     tail = word[cut:]
-                    if tail in self._forbidden:
+                    if tail in self._leading:
                         break
-                    if not target and tail in self._prefixes:
+                    if not target and self._leading.starting_with(tail):
                         target = tail
                 else:
                     row.append((letter, target))
@@ -429,7 +431,7 @@ def hilbert_series(P, upto):
     """
     _check_graded(P, upto)
     gb = groebner(P, max(upto, P.max_relation_degree()))
-    return FactorAvoider(P.num_gens, gb.leading_words()).counts(upto)
+    return FactorAvoider(P.num_gens, gb.entries()).counts(upto)
 
 
 def graded_dimension(P, n, maxdeg):

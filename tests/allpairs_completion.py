@@ -79,4 +79,5 @@ def allpairs_groebner(P, maxdeg, pushed=None, popped=None):
         index.remove(lw_of[s])
         final.append(reduce_by_entries(live[s], index))
         index.add(lw_of[s], live[s])
-    return TruncatedGB(P.field, P.num_gens, tuple(final), maxdeg)
+    own = ReductionIndex((g.leading_word(), g) for g in final)
+    return TruncatedGB(P.field, P.num_gens, tuple(final), maxdeg, own)

@@ -21,7 +21,7 @@ from fpalg import (
     search_iso_degree2,
     verify_iso_witness,
 )
-from fpalg.aalpha import mat2, mat2_det, mat2_identity, mat2_mul, mat2_transpose
+from fpalg.aalpha import mat2, mat2_det, mat2_mul, mat2_transpose
 from fpalg.scalars import one_like
 
 Q = FieldSpec(0)
@@ -34,6 +34,11 @@ def q(v):
 
 def qfrac(v):
     return Scalar.from_fraction(Q, v)
+
+
+def identity(field):
+    one, zero = Scalar.one(field), Scalar.zero(field)
+    return mat2(one, zero, zero, one)
 
 
 def quadratic(form, field):
@@ -83,7 +88,7 @@ class TestMakeAalpha:
 
 class TestFormOf:
     def test_alpha_zero_is_identity(self):
-        assert form_of(q(0)) == mat2_identity(q(0))
+        assert form_of(q(0)) == identity(Q)
 
     def test_entries(self):
         assert form_of(q(2)) == mat2(q(1), q(2), q(0), q(1))
@@ -96,7 +101,7 @@ class TestFormOf:
 
 class TestLinearConstraintMatrix:
     def test_beta_zero_identity_q(self):
-        m = linear_constraint_matrix(q(0), mat2_identity(q(0)))
+        m = linear_constraint_matrix(q(0), identity(Q))
         assert m == mat2(q(2), q(0), q(0), q(2))
         assert mat2_det(m) == q(4)  # nonsingular: forces zero constant parts
 
@@ -109,7 +114,7 @@ class TestLinearConstraintMatrix:
 
     def test_generic_beta_nonsingular(self):
         t = Scalar.generator(QT, 0)
-        m = linear_constraint_matrix(t, mat2_identity(t))
+        m = linear_constraint_matrix(t, identity(QT))
         four = Scalar.from_int(QT, 4)
         assert mat2_det(m) == four - t * t
         assert not mat2_det(m).is_zero()
@@ -139,7 +144,7 @@ class TestLinearConstraintMatrix:
 
 class TestCongruenceCheck:
     def test_same_parameter_identity_witness(self):
-        w = CongruenceWitness(mat2_identity(q(1)), q(1))
+        w = CongruenceWitness(identity(Q), q(1))
         assert congruence_check(q(1), q(1), w)
 
     def test_sign_flip_witness(self):
@@ -147,21 +152,21 @@ class TestCongruenceCheck:
         assert congruence_check(q(3), q(-3), w)
 
     def test_mismatched_parameters_fail(self):
-        w = CongruenceWitness(mat2_identity(q(1)), q(1))
+        w = CongruenceWitness(identity(Q), q(1))
         assert not congruence_check(q(1), q(2), w)
 
     def test_witness_invariants_rejected(self):
         with pytest.raises(ValueError):
             CongruenceWitness(mat2(q(1), q(1), q(1), q(1)), q(1))
         with pytest.raises(ValueError):
-            CongruenceWitness(mat2_identity(q(1)), q(0))
+            CongruenceWitness(identity(Q), q(0))
 
 
 class TestDecideFormCongruence:
     def test_equal_parameters(self):
         d = decide_form_congruence(q(5), q(5))
         assert d.congruent
-        assert d.witness.q == mat2_identity(q(5))
+        assert d.witness.q == identity(Q)
         assert congruence_check(q(5), q(5), d.witness)
 
     def test_opposite_parameters_generic(self):

@@ -87,6 +87,23 @@ def test_aalpha_iso_rechecks_its_witness(monkeypatch):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["parse", "--file", "{PATH}"],
+        ["full", "--base", "{PATH}", "--n", "2", "--elem", "e11", "--maxdeg", "1"],
+    ],
+    ids=["file", "base"],
+)
+def test_unreadable_input_path_is_an_error(argv, tmp_path):
+    # a directory exists but cannot be read as a file: exit 2, as a missing file
+    code, out, err = run_cli([a.replace("{PATH}", str(tmp_path)) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 # Runs every golden case through fpalg.cli.run in one fresh interpreter and
 # prints (exit code, stdout, stderr) per case as JSON.
 _GOLDEN_RUNNER = """

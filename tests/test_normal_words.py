@@ -99,7 +99,7 @@ class TestWordsUpTo:
         for P in self.presentations():
             gb = groebner(P, 4)
             m = P.num_gens
-            avoider = FactorAvoider(m, gb.leading_words())
+            avoider = FactorAvoider(m, gb.entries())
             dead += avoider.trivial_dead
             levels = avoider.words_up_to(4)
             assert len(levels) == 5
@@ -116,7 +116,7 @@ class TestCornerWork:
         MP = matrix_presentation(bases()[base], 2)
         e = MP.unit(1, 1)
         gb = groebner(MP.pres, max(d + 2, MP.pres.max_relation_degree()))
-        normal = FactorAvoider(MP.pres.num_gens, gb.leading_words()).count_up_to(d)
+        normal = FactorAvoider(MP.pres.num_gens, gb.entries()).count_up_to(d)
         calls = []
 
         def counting(f, entries):

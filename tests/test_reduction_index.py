@@ -1,12 +1,28 @@
-"""The indexed reduce_by_entries against the linear-scan reference."""
+"""The indexed reduce_by_entries against the linear-scan reference, the
+index's prefix and suffix tables, and the index a basis hands over."""
 
+import itertools
+import random
+
+import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from fpalg import FieldSpec, NCPoly, Scalar
+from fpalg import (
+    FieldSpec,
+    NCPoly,
+    Scalar,
+    corner_filtered_dims,
+    filtered_dimension,
+    groebner,
+    hilbert_series,
+    make_aalpha,
+    matrix_presentation,
+)
 from fpalg.freealg import deglex_key
 from fpalg.rewrite import ReductionIndex, reduce_by_entries
 from linear_reduction import linear_reduce
+from randgen import random_homogeneous_quadratic, random_presentation, random_word
 
 Q = FieldSpec(0)
 QT = FieldSpec(1)
@@ -122,3 +138,89 @@ def test_index_tracks_removal():
     index.add(*entry(Q, m, (1,), []))
     assert index.find((1, 0, 0))[0] == (1,)
     assert [lw for lw, _ in index] == [(1,), (0, 0)]
+
+
+def assert_tables_match(index, live, m):
+    """starting_with, ending_with and `in` against a scan of the live words,
+    asked of every word up to length 3 and every factor of a live word."""
+    parts = {w for n in range(4) for w in itertools.product(range(m), repeat=n)}
+    parts |= {w[i:j] for w in live for i in range(len(w) + 1) for j in range(i, len(w) + 1)}
+    for part in parts:
+        assert (part in index) == (part in live)
+        starting = {w for w in live if 0 < len(part) < len(w) and w[: len(part)] == part}
+        ending = {w for w in live if 0 < len(part) < len(w) and w[len(w) - len(part):] == part}
+        assert set(index.starting_with(part)) == starting
+        assert set(index.ending_with(part)) == ending
+    assert all(index._by_prefix.values()) and all(index._by_suffix.values())
+    assert len(index._by_prefix) == len({w[:cut] for w in live for cut in range(1, len(w))})
+    assert len(index._by_suffix) == len({w[cut:] for w in live for cut in range(1, len(w))})
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_tables_follow_adds_and_removes(seed):
+    rng = random.Random(seed)
+    m = rng.choice((1, 2, 3))
+    index = ReductionIndex()
+    live = set()
+    for _ in range(40):
+        w = random_word(rng, m, 5)
+        if w in live:
+            index.remove(w)
+            live.discard(w)
+        else:
+            index.add(w, None)
+            live.add(w)
+        assert_tables_match(index, live, m)
+    for w in sorted(live):  # remove every word
+        index.remove(w)
+        live.discard(w)
+        assert_tables_match(index, live, m)
+    assert len(index) == 0 and not index._by_prefix and not index._by_suffix
+
+
+def completion_cases():
+    """The presentations and degrees of test_completion's differential tests."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        P = random_presentation(rng, (Q, QT)[seed % 2], max_gens=3, max_deg=3, max_rels=3)
+        yield P, max(P.max_relation_degree(), 4)
+    for seed in range(20):
+        rng = random.Random(100 + seed)
+        yield random_homogeneous_quadratic(rng, (Q, QT)[seed % 2], rng.randint(2, 3), 3), 4
+
+
+def test_basis_hands_over_its_tail_reduced_index():
+    for P, maxdeg in completion_cases():
+        gb = groebner(P, maxdeg)
+        handed = list(gb.entries())
+        assert [lw for lw, _ in handed] == [g.leading_word() for g in gb.basis]
+        assert all(h is g for (_, h), g in zip(handed, gb.basis))
+
+
+def a_t():
+    return make_aalpha(Scalar.generator(QT, 0))
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda: groebner(a_t(), 4),
+        lambda: hilbert_series(a_t(), 4),
+        lambda: filtered_dimension(matrix_presentation(a_t(), 2), 2),
+        lambda: corner_filtered_dims(
+            matrix_presentation(a_t(), 2).unit(1, 1), matrix_presentation(a_t(), 2), 2
+        ),
+    ],
+    ids=["groebner", "hilbert_series", "filtered_dimension", "corner_filtered_dims"],
+)
+def test_one_index_per_query(query, monkeypatch):
+    builds = []
+    init = ReductionIndex.__init__
+
+    def counting(self, entries=()):
+        builds.append(1)
+        init(self, entries)
+
+    monkeypatch.setattr(ReductionIndex, "__init__", counting)
+    query()
+    assert len(builds) == 1

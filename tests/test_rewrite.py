@@ -16,7 +16,7 @@ from fpalg import (
     normal_form,
     twist,
 )
-from fpalg.rewrite import FactorAvoider, reduce_by_entries
+from fpalg.rewrite import FactorAvoider, ReductionIndex, reduce_by_entries
 from linear_reduction import linear_reduce
 from randgen import (
     random_automorphism,
@@ -201,13 +201,19 @@ def brute_force_levels(m, forbidden, n):
     ]
 
 
+def avoider_of(m, forbidden):
+    """A FactorAvoider over the index of the forbidden words; duplicates are
+    indexed once, and no poly is needed to avoid a word."""
+    return FactorAvoider(m, ReductionIndex((w, None) for w in forbidden))
+
+
 class TestFactorAvoider:
     def test_against_brute_force(self):
         rng = random.Random(73)
         for _ in range(30):
             m = rng.choice((2, 3))
             forbidden = [random_word(rng, m, 3, min_len=1) for _ in range(rng.randint(1, 3))]
-            avoider = FactorAvoider(m, forbidden)
+            avoider = avoider_of(m, forbidden)
             for n, level in enumerate(brute_force_levels(m, forbidden, 4)):
                 assert avoider.count(n) == len(level)
 
@@ -217,7 +223,7 @@ class TestFactorAvoider:
         # m = 11 is the alphabet of M_3 over a 2-generator base
         forbidden = [tuple(letter % m for letter in w) for w in AVOIDER_CASES[name]]
         levels = brute_force_levels(m, forbidden, n)
-        avoider = FactorAvoider(m, forbidden)
+        avoider = avoider_of(m, forbidden)
         assert avoider.trivial_dead == (() in forbidden)
         assert avoider.words_up_to(n) == levels
         assert avoider.counts(n) == [len(level) for level in levels]
