@@ -526,12 +526,22 @@ def is_generating(elems, P, maxdeg):
     for e in elems:
         if e.field != P.field or e.num_gens != P.num_gens:
             raise MismatchError("element over a different context")
-    gb = groebner(P, maxdeg)
+    return _generating_by(elems, P, groebner(P, maxdeg), maxdeg)
+
+
+def _generating_by(elems, P, gb, maxdeg):
+    """is_generating's saturation over a basis complete to at least maxdeg.
+
+    Products of raw degree above maxdeg are skipped, so any basis complete
+    that far gives the verdict of groebner(P, maxdeg) whenever normal forms
+    up to degree maxdeg do not depend on the truncation, as for homogeneous
+    relations.
+    """
     entries = gb.entries()
     span = Span()
     fresh = []
     for cand in [NCPoly.one(P.field, P.num_gens)] + list(elems):
-        if cand.degree() > gb.complete_to:
+        if cand.degree() > maxdeg:
             continue
         nf = reduce_by_entries(cand, entries)
         if span.add(nf):
@@ -550,7 +560,7 @@ def is_generating(elems, P, maxdeg):
         new_fresh = []
         for s in fresh:
             for e in elems:
-                if s.degree() + e.degree() > gb.complete_to:
+                if s.degree() + e.degree() > maxdeg:
                     continue
                 p = reduce_by_entries(s * e, entries)
                 if span.add(p):

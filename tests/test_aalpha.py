@@ -14,15 +14,19 @@ from fpalg import (
     decide_form_congruence,
     form_of,
     graded_dimension,
+    groebner,
+    is_generating,
     iso_aalpha,
     iso_witness,
     make_aalpha,
+    normal_form,
     orbit_sample,
     search_iso_degree2,
     verify_iso_witness,
 )
 from fpalg.aalpha import mat2, mat2_det, mat2_mul, mat2_transpose
 from fpalg.scalars import one_like
+from allq_congruence import allq_search_iso_degree2
 
 Q = FieldSpec(0)
 QT = FieldSpec(1)
@@ -248,6 +252,30 @@ class TestIso:
     def test_witness_absent(self):
         assert iso_witness(q(1), q(3)) is None
 
+    def test_recheck_agrees_with_a_fresh_completion(self):
+        # the generation half reads the basis the relation half completed,
+        # possibly deeper than 3; is_generating completes its own to 3
+        t = Scalar.generator(QT, 0)
+        P = make_aalpha(t)
+        x1, x2 = (NCPoly.gen(QT, 2, i) for i in range(2))
+        zero = NCPoly.zero(QT, 2)
+        candidates = [
+            (x1, x2), (x1, -x2), (x2, x1), (x1 + x2, x2), (x1, x1),
+            (zero, zero), (x1 * x2, x2 * x1), (x1 * x1, x2), (x1 * x2 * x1, zero),
+        ]
+        verdicts = []
+        for beta in (t, -t, t + t):
+            relation = make_aalpha(beta).relations[0]
+            for images in candidates:
+                substituted = relation.substitute(list(images))
+                gb = groebner(P, max(3, substituted.degree()))
+                expected = normal_form(substituted, gb).poly.is_zero() and (
+                    is_generating(list(images), P, 3).generating
+                )
+                assert verify_iso_witness(t, beta, images) == expected, (beta, images)
+                verdicts.append(expected)
+        assert True in verdicts and False in verdicts
+
     def test_dimensions_cannot_separate_the_family(self):
         # every parameter gives the same graded dimensions; the separating
         # invariant is the form congruence, not the Hilbert data
@@ -276,6 +304,24 @@ class TestFiniteFieldSearch:
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError):
             search_iso_degree2(1, 1, 4)
+
+
+class TestSearchAgainstAllQ:
+    """The solved-q22 search returns the all-Q loop's first witness."""
+
+    @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+    def test_every_parameter_pair(self, p):
+        degenerate = 0
+        for a in range(p):
+            degenerate += (a * a - 4) % p == 0
+            for b in range(p):
+                expected = allq_search_iso_degree2(a, b, p)
+                assert search_iso_degree2(a, b, p) == expected, (p, a, b)
+                assert search_iso_degree2(
+                    ModScalar(a, p), ModScalar(b, p), p
+                ) == expected, (p, a, b)
+                assert search_iso_degree2(a - p, b + 2 * p, p) == expected, (p, a, b)
+        assert degenerate == 2  # a = +-2, where the symmetric part degenerates
 
 
 class TestOrbit:

@@ -96,6 +96,13 @@ def test_criterion_1_family_decision_vs_finite_field_oracle(capsys):
         assert checked == 1 + 9 + 25
 
 
+def test_criterion_1_scan_at_a_large_prime(capsys):
+    # 2 and 3 are not congruent over F_101 (3 != +-2), so the scan runs to
+    # the end; enumerating all 101^4 matrices takes tens of seconds
+    with _Budget(capsys, 1, "GL2 scan at p = 101", 10):
+        assert search_iso_degree2(2, 3, 101) is None
+
+
 def _random_accepted_witness(rng):
     """A random congruence-accepted (alpha, beta, witness) triple."""
     alpha = Scalar.from_fraction(

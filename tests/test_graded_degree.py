@@ -21,10 +21,12 @@ from fpalg import (
     graded_dimension,
     hilbert_series,
     ideal_membership,
+    iso_witness,
     make_aalpha,
     parse_presentation,
+    verify_iso_witness,
 )
-from fpalg import rewrite
+from fpalg import aalpha, rewrite
 from fpalg.cli import run
 from randgen import random_word, simple_scalar
 from span_oracle import graded_dimension_oracle, ideal_membership_oracle
@@ -107,6 +109,16 @@ def test_membership_completes_to_what_the_verdict_sees(degrees):
     verdict = ideal_membership(x1 - NCPoly.one(Q, 1), P, 5)
     assert (verdict.member, verdict.exact, verdict.bound) == (False, False, 5)
     assert degrees == [5]
+
+
+def test_iso_recheck_completes_once(degrees, monkeypatch):
+    # verify_iso_witness holds its own reference to groebner; the generation
+    # half of the re-check reads the basis the relation half completed
+    monkeypatch.setattr(aalpha, "groebner", rewrite.groebner)
+    t = Scalar.generator(QT, 0)
+    images = iso_witness(t, -t)
+    assert verify_iso_witness(t, -t, images)
+    assert degrees == [3]
 
 
 # ---------------------------------------------------------------------------
