@@ -6,11 +6,14 @@ gcd(numerator, denominator) = 1 over Z[t1,...,tk] and the denominator has
 positive leading coefficient under graded-lex order with t1 < t2 < ... < tk.
 Equal field elements therefore always have identical representations.
 A part (numerator or denominator) is held as a plain Python int exactly when
-it is a constant, in every field, and as a sympy polynomial otherwise.  Over
-Q (k = 0) both parts are always ints reduced with math.gcd; over Q(t1..tk)
-the matrix-unit and commutation coefficients +-1 stay ints too, and a
-polynomial part meets an int one through math.gcd on its content.  The
-polynomial views are built only on request.
+it is a constant, in every field, and as a ZPoly (zpoly.py: a sparse dict
+from exponent tuple to int) otherwise.  Over Q (k = 0) both parts are always
+ints reduced with math.gcd; over Q(t1..tk) the matrix-unit and commutation
+coefficients +-1 stay ints too, a polynomial part meets an int one through
+math.gcd on its content, and two polynomial parts meet through
+ZPoly.cofactors (the heuristic gcd GCDHEU with an exact fallback).  sympy is
+imported only to build the numerator and denominator views, as ZZ[t1..tk]
+ring elements, on request, and by that fallback.
 
 Automorphisms are restricted to the invertible coefficient-field maps
 generated by generator permutations and per-generator affine maps
@@ -30,8 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from sympy.polys.domains import QQ, ZZ
-from sympy.polys.rings import ring as _sympy_ring
+from .zpoly import ZPoly
 
 
 class MismatchError(ValueError):
@@ -59,12 +61,17 @@ class FieldSpec:
 
 @lru_cache(maxsize=None)
 def _int_ring(k):
-    return _sympy_ring(" ".join(f"t{i + 1}" for i in range(k)), ZZ)[0]
+    # the ring of the numerator and denominator views; besides the exact gcd
+    # fallback in zpoly, the only place that imports sympy
+    from sympy.polys.domains import ZZ
+    from sympy.polys.rings import ring
+
+    return ring(" ".join(f"t{i + 1}" for i in range(k)), ZZ)[0]
 
 
-@lru_cache(maxsize=None)
-def _rat_ring(k):
-    return _sympy_ring(" ".join(f"t{i + 1}" for i in range(k)), QQ)[0]
+def _ring_element(part, k):
+    R = _int_ring(k)
+    return R(part) if type(part) is int else R.from_dict(part)
 
 
 def _grlex_key(monomial):
@@ -147,9 +154,9 @@ def _demote(part):
 class Scalar:
     """An element of Q(t1,...,tk) in canonical reduced form.
 
-    Numerator and denominator are Python ints when constant and sympy
-    integer polynomials otherwise, for every k.  Every method below accepts
-    either form.
+    Numerator and denominator are Python ints when constant and ZPolys
+    otherwise, for every k.  Every method below accepts either form, and a
+    constant ZPoly as well.
     """
 
     __slots__ = ("field", "_num", "_den", "_hash")
@@ -210,7 +217,9 @@ class Scalar:
     def generator(cls, field, index):
         if not 0 <= index < field.num_generators:
             raise ValueError(f"generator index {index} outside {field}")
-        return cls(field, _int_ring(field.num_generators).gens[index], 1)
+        k = field.num_generators
+        exponents = tuple(int(i == index) for i in range(k))
+        return cls(field, ZPoly(k, {exponents: 1}), 1)
 
     @classmethod
     def zero(cls, field):
@@ -224,17 +233,13 @@ class Scalar:
 
     @property
     def numerator(self):
-        """Canonical integer-coefficient numerator polynomial (read-only)."""
-        if type(self._num) is int:
-            return _int_ring(self.field.num_generators)(self._num)
-        return self._num
+        """Canonical numerator as a sympy ZZ[t1..tk] element, built on access."""
+        return _ring_element(self._num, self.field.num_generators)
 
     @property
     def denominator(self):
-        """Canonical integer-coefficient denominator polynomial (read-only)."""
-        if type(self._den) is int:
-            return _int_ring(self.field.num_generators)(self._den)
-        return self._den
+        """Canonical denominator as a sympy ZZ[t1..tk] element, built on access."""
+        return _ring_element(self._den, self.field.num_generators)
 
     def __bool__(self):
         return bool(self._num)
@@ -490,38 +495,46 @@ def apply_automorphism(sigma, a):
     k = sigma.field.num_generators
     if (type(a._num) is int and type(a._den) is int) or sigma.is_identity():
         return a  # constants are fixed by every automorphism
-    Rq = _rat_ring(k)
-    images = []
-    for (j, fa, fb) in sigma.forward:
-        images.append(Rq.gens[j] * QQ(fa.numerator, fa.denominator)
-                      + QQ(fb.numerator, fb.denominator))
-    num_q = _substitute(a._num, images, Rq)
-    den_q = _substitute(a._den, images, Rq)
-    return _scalar_from_rat_pair(a.field, num_q, den_q)
+    num = _substitute(a._num, sigma.forward, k)
+    den = _substitute(a._den, sigma.forward, k)
+    common = math.lcm(*(c.denominator for part in (num, den) for c in part.values()))
+    return Scalar._make(
+        a.field,
+        ZPoly(k, {m: int(c * common) for m, c in num.items()}),
+        ZPoly(k, {m: int(c * common) for m, c in den.items()}),
+    )
 
 
-def _substitute(poly, images, Rq):
-    if type(poly) is int:
-        return Rq(poly)
-    acc = Rq.zero
-    for monomial, coeff in poly.items():
-        term = Rq(int(coeff))
+def _substitute(part, forward, k):
+    """part with t_i -> a*t_j + b for each forward image (i, (j, a, b)), as a
+    dict from exponent tuple to nonzero Fraction."""
+    if type(part) is int:
+        return {(0,) * k: Fraction(part)}
+    out = {}
+    for monomial, coeff in part.items():
+        # the j are distinct, so the image of the monomial is a product of
+        # binomial expansions in separate generators
+        terms = [([0] * k, Fraction(coeff))]
         for i, e in enumerate(monomial):
-            if e:
-                term = term * images[i] ** e
-        acc = acc + term
-    return acc
-
-
-def _scalar_from_rat_pair(field, num_q, den_q):
-    common = 1
-    for poly in (num_q, den_q):
-        for _, coeff in poly.items():
-            common = math.lcm(common, int(coeff.denominator))
-    R = _int_ring(field.num_generators)
-    num = R.from_dict({m: int(c * common) for m, c in (num_q * common).items()})
-    den = R.from_dict({m: int(c * common) for m, c in (den_q * common).items()})
-    return Scalar._make(field, num, den)
+            if not e:
+                continue
+            j, a, b = forward[i]
+            expansion = [
+                (m, math.comb(e, m) * a ** m * b ** (e - m))
+                for m in range(e + 1)
+                if b or m == e
+            ]
+            grown = []
+            for exponents, c in terms:
+                for m, cm in expansion:
+                    image = exponents.copy()
+                    image[j] = m
+                    grown.append((image, c * cm))
+            terms = grown
+        for exponents, c in terms:
+            key = tuple(exponents)
+            out[key] = out.get(key, 0) + c
+    return {m: c for m, c in out.items() if c}
 
 
 def compose(sigma, tau):

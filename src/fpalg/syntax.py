@@ -251,23 +251,24 @@ def parse_poly(text, field, names):
 
 def _affine_parts(image, tokens):
     """Split a scalar into (target index, a, b) for a*t_j + b, a != 0."""
-    den = image.denominator
-    if any(any(mon) for mon in den.keys()):
+    den_c = image._den
+    if type(den_c) is not int:
         tokens.error("automorphism image must be affine, not a proper fraction")
-    den_c = int(next(iter(den.values())))
+    if type(image._num) is int:
+        tokens.error("automorphism image drops the generator (a = 0)")
     target = None
     a = Fraction(0)
     b = Fraction(0)
-    for mon, coeff in image.numerator.items():
+    for mon, coeff in image._num.items():
         degree = sum(mon)
         if degree == 0:
-            b = Fraction(int(coeff), den_c)
+            b = Fraction(coeff, den_c)
         elif degree == 1:
             j = next(i for i, e in enumerate(mon) if e)
             if target is not None:
                 tokens.error("automorphism image involves two generators")
             target = j
-            a = Fraction(int(coeff), den_c)
+            a = Fraction(coeff, den_c)
         else:
             tokens.error("automorphism image must have degree 1")
     if target is None or a == 0:

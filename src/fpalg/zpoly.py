@@ -1,0 +1,323 @@
+"""Sparse integer polynomials in t1..tk: the non-constant parts of a Scalar.
+
+A ZPoly is a dict from exponent tuple (one entry per generator) to nonzero
+int coefficient, plus the number of generators.  It is never changed after
+it is built, so results may share it.  It has what scalars.py needs and no
+more: ring arithmetic with a ZPoly or an int on either side, ``==`` with an
+int, exact division by an int (``quo_ground``) and the gcd with both
+cofactors (``cofactors``).
+
+The gcd is GCDHEU (Char, Geddes and Gonnet, *GCDHEU: heuristic polynomial
+GCD algorithm based on integer GCD computation*, J. Symbolic Comput. 7,
+1989).  Both operands are evaluated at an integer xi in the first
+generator; the gcd of the images (integers, or polynomials in one generator
+fewer, found the same way) is read back as a polynomial from its balanced
+base-xi digits, as are the two image cofactors.  A candidate is accepted
+only when it divides both operands exactly, and for xi >= 2*min(|f|, |g|) +
+2 (max-norms after the integer content is taken out) an accepted candidate
+is the gcd; the first xi here is 2*min(|f|, |g|) + 29.  After six
+evaluation points the heuristic gives up and an exact gcd takes over
+(sympy's dense ``dmp_inner_gcd``, imported on that path only).  The gcd is
+unique up to sign; Scalar fixes the sign of its parts itself.
+"""
+
+from __future__ import annotations
+
+import math
+from operator import add, sub
+
+# evaluation points tried before the exact gcd takes over
+HEU_GCD_MAX = 6
+
+
+class ZPoly(dict):
+    """An element of Z[t1..tk]: {exponent tuple: nonzero int}."""
+
+    __slots__ = ("ngens",)
+
+    def __init__(self, ngens, terms=()):
+        dict.__init__(self, terms)
+        self.ngens = ngens
+
+    @classmethod
+    def constant(cls, ngens, value):
+        return cls(ngens, {(0,) * ngens: value} if value else ())
+
+    # -- comparison ---------------------------------------------------------
+
+    def __eq__(self, other):
+        if type(other) is int:
+            if not other:
+                return not self
+            return len(self) == 1 and self.get((0,) * self.ngens) == other
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+    __hash__ = None
+
+    # -- arithmetic -----------------------------------------------------------
+
+    def __neg__(self):
+        return ZPoly(self.ngens, {m: -c for m, c in self.items()})
+
+    def __add__(self, other):
+        if type(other) is int:
+            if not other:
+                return self
+            other = ZPoly.constant(self.ngens, other)
+        elif not isinstance(other, ZPoly):
+            return NotImplemented
+        out = ZPoly(self.ngens, self)
+        get = out.get
+        for m, c in other.items():
+            c += get(m, 0)
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return out
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        if type(other) is int:
+            return self + -other
+        if not isinstance(other, ZPoly):
+            return NotImplemented
+        out = ZPoly(self.ngens, self)
+        get = out.get
+        for m, c in other.items():
+            c = get(m, 0) - c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+        return out
+
+    def __rsub__(self, other):
+        if type(other) is not int:
+            return NotImplemented
+        return -self + other
+
+    def __mul__(self, other):
+        if type(other) is int:
+            if other == 1:
+                return self
+            return ZPoly(self.ngens, {m: c * other for m, c in self.items()} if other else ())
+        if not isinstance(other, ZPoly):
+            return NotImplemented
+        out = ZPoly(self.ngens)
+        get = out.get
+        for m1, c1 in self.items():
+            for m2, c2 in other.items():
+                m = tuple(map(add, m1, m2))
+                out[m] = get(m, 0) + c1 * c2
+        for m in [m for m, c in out.items() if not c]:
+            del out[m]
+        return out
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent):
+        if type(exponent) is not int or exponent < 0:
+            raise ValueError("exponent must be a nonnegative int")
+        out = ZPoly.constant(self.ngens, 1)
+        base = self
+        while exponent:
+            if exponent & 1:
+                out = out * base
+            exponent >>= 1
+            if exponent:
+                base = base * base
+        return out
+
+    def quo_ground(self, divisor):
+        """Every coefficient divided by the int divisor, which must divide it."""
+        return ZPoly(self.ngens, {m: c // divisor for m, c in self.items()})
+
+    def cofactors(self, other):
+        """(h, self / h, other / h) with h = gcd(self, other), unique up to sign."""
+        k = self.ngens
+        parts = _cofactors(self, other, k)
+        if parts is None:
+            parts = _exact_cofactors(self, other, k)
+        return tuple(ZPoly(k, p) for p in parts)
+
+
+# ---------------------------------------------------------------------------
+# the gcd, on plain dicts from exponent tuple to int
+# ---------------------------------------------------------------------------
+
+
+def _cofactors(f, g, k):
+    """(h, f/h, g/h) as dicts, with the zero and one-term operands answered
+    directly, or None when GCDHEU gives up."""
+    if not f or not g:
+        if not f and not g:
+            return {}, {}, {}
+        if not f:
+            h, cfg = _positive(g)
+            return h, {}, cfg
+        h, cff = _positive(f)
+        return h, cff, {}
+    if len(f) == 1:
+        return _gcd_with_term(f, g)
+    if len(g) == 1:
+        h, cfg, cff = _gcd_with_term(g, f)
+        return h, cff, cfg
+    return _heugcd(f, g, k)
+
+
+def _positive(f):
+    # (h, unit) with h = unit * f and the lex-leading coefficient of h positive
+    if f[max(f)] > 0:
+        return f, {(0,) * len(next(iter(f))): 1}
+    return {m: -c for m, c in f.items()}, {(0,) * len(next(iter(f))): -1}
+
+
+def _gcd_with_term(f, g):
+    # f = c * t^m is one term: the gcd is gcd(c, content g) times the
+    # exponent-wise minimum of m and every monomial of g
+    ((m, c),) = f.items()
+    content = math.gcd(c, *g.values())
+    for mg in g:
+        m = tuple(map(min, m, mg))
+    cff = {tuple(map(sub, mf, m)): cf // content for mf, cf in f.items()}
+    cfg = {tuple(map(sub, mg, m)): cg // content for mg, cg in g.items()}
+    return {m: content}, cff, cfg
+
+
+def _heugcd(f, g, k):
+    content = math.gcd(*f.values(), *g.values())
+    if content != 1:
+        f = {m: c // content for m, c in f.items()}
+        g = {m: c // content for m, c in g.items()}
+    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    for _ in range(HEU_GCD_MAX):
+        ff, gg = _evaluate(f, xi), _evaluate(g, xi)
+        if ff and gg:
+            # for k = 1 the images are constants, which the one-term
+            # shortcut answers with an integer gcd
+            images = _cofactors(ff, gg, k - 1)
+            if images is None:
+                return None
+            found = _certified(f, g, images, xi)
+            if found is not None:
+                h, cff, cfg = found
+                if content != 1:
+                    h = {m: c * content for m, c in h.items()}
+                return h, cff, cfg
+        xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
+    return None
+
+
+def _certified(f, g, images, xi):
+    """The gcd and cofactors read off the (nonzero) images at xi, through
+    whichever of h, f/h or g/h interpolates to an exact divisor, or None."""
+    hh, cf, cg = images
+    h = _primitive(_interpolate(hh, xi))
+    cff = _exquo(f, h)
+    if cff is not None:
+        cfg = _exquo(g, h)
+        if cfg is not None:
+            return h, cff, cfg
+    cff = _interpolate(cf, xi)
+    h = _exquo(f, cff)
+    if h is not None:
+        cfg = _exquo(g, h)
+        if cfg is not None:
+            return h, cff, cfg
+    cfg = _interpolate(cg, xi)
+    h = _exquo(g, cfg)
+    if h is not None:
+        cff = _exquo(f, h)
+        if cff is not None:
+            return h, cff, cfg
+    return None
+
+
+def _evaluate(f, xi):
+    """f at t1 = xi, as a dict in t2..tk (keyed by () when k = 1)."""
+    out = {}
+    get = out.get
+    for m, c in f.items():
+        rest = m[1:]
+        out[rest] = get(rest, 0) + c * xi ** m[0]
+    return {m: c for m, c in out.items() if c}
+
+
+def _interpolate(image, xi):
+    """The polynomial in t1..tk whose t1-coefficients are the balanced
+    base-xi digits of the image, a dict in t2..tk."""
+    half = xi // 2
+    out = {}
+    i = 0
+    while image:
+        rest = {}
+        for m, c in image.items():
+            digit = c % xi
+            if digit > half:
+                digit -= xi
+            if digit:
+                out[(i,) + m] = digit
+            c = (c - digit) // xi
+            if c:
+                rest[m] = c
+        image = rest
+        i += 1
+    return out
+
+
+def _primitive(f):
+    content = math.gcd(*f.values())
+    if content == 1:
+        return f
+    return {m: c // content for m, c in f.items()}
+
+
+def _exquo(f, h):
+    """f / h when h divides f exactly over Z, else None (h nonzero)."""
+    if len(h) == 1:
+        ((mh, ch),) = h.items()
+        out = {}
+        for m, c in f.items():
+            q, r = divmod(c, ch)
+            e = tuple(map(sub, m, mh))
+            if r or min(e) < 0:
+                return None
+            out[e] = q
+        return out
+    # long division, lex-leading terms first; when h divides f, every
+    # remainder is a multiple of h, so its leading term divides exactly
+    lead = max(h)
+    lc = h[lead]
+    rem = dict(f)
+    out = {}
+    while rem:
+        m = max(rem)
+        q, r = divmod(rem[m], lc)
+        e = tuple(map(sub, m, lead))
+        if r or min(e) < 0:
+            return None
+        out[e] = q
+        for mh, ch in h.items():
+            mm = tuple(map(add, e, mh))
+            c = rem.get(mm, 0) - q * ch
+            if c:
+                rem[mm] = c
+            else:
+                del rem[mm]
+    return out
+
+
+def _exact_cofactors(f, g, k):
+    from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
+    from sympy.polys.domains import ZZ
+    from sympy.polys.euclidtools import dmp_inner_gcd
+
+    u = k - 1
+    parts = dmp_inner_gcd(dmp_from_dict(dict(f), u, ZZ), dmp_from_dict(dict(g), u, ZZ), u, ZZ)
+    return tuple(dmp_to_dict(p, u) for p in parts)

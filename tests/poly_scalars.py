@@ -8,10 +8,17 @@ differential tests hold Scalar to exactly these values, strings and hashes.
 """
 
 import math
+from functools import lru_cache
 
 from sympy.polys.domains import QQ
+from sympy.polys.rings import ring
 
-from fpalg.scalars import _grlex_key, _int_ring, _poly_text, _rat_ring
+from fpalg.scalars import _grlex_key, _int_ring, _poly_text
+
+
+@lru_cache(maxsize=None)
+def _rat_ring(k):
+    return ring(" ".join(f"t{i + 1}" for i in range(k)), QQ)[0]
 
 
 def _leading_coeff(poly):

@@ -151,3 +151,42 @@ def test_parse_print_roundtrip(path):
     assert parse_presentation(printed) == P
     # printing is a fixpoint
     assert presentation_to_text(parse_presentation(printed)) == printed
+
+
+# Runs every golden case through fpalg.cli.run in one fresh interpreter and
+# prints the first step after which sympy is loaded, or null.
+_SYMPY_PROBE = """
+import contextlib, io, json, sys
+import fpalg
+loaded = "import fpalg" if "sympy" in sys.modules else None
+from fpalg.cli import run
+for name, argv in json.loads(sys.stdin.read()):
+    if loaded:
+        break
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        run(argv)
+    if "sympy" in sys.modules:
+        loaded = name
+print(json.dumps(loaded))
+"""
+
+
+def test_no_cli_verb_imports_sympy():
+    # sympy is needed only for the numerator/denominator views, never by a verb
+    assert {"Q", "Q(t1)"} <= {
+        str(parse_presentation(p.read_text()).field)
+        for p in (GOLDEN / "inputs").glob("*.alg")
+    }
+    src = pathlib.Path(fpalg.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    cases = [[case["name"], substituted(case)] for case in CASES]
+    proc = subprocess.run(
+        [sys.executable, "-c", _SYMPY_PROBE],
+        input=json.dumps(cases).encode(),
+        env=env,
+        capture_output=True,
+        timeout=300,
+        check=True,
+    )
+    assert json.loads(proc.stdout) is None

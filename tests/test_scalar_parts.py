@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpalg import FieldSpec, Scalar, apply_automorphism
+from fpalg.zpoly import ZPoly
 from poly_scalars import PolyScalar
 from randgen import random_automorphism, rich_scalar, simple_scalar
 
@@ -33,7 +34,9 @@ def assert_matches(a, ref):
     assert a.numerator.ring == ref.num.ring
     assert str(a) == ref.text()
     assert hash(a) == ref.hash_value()
-    b = Scalar(a.field, ref.num, ref.den)  # the same value on polynomial parts
+    k = a.field.num_generators
+    # the same value with both parts held as polynomials, constants included
+    b = Scalar(a.field, ZPoly(k, ref.num), ZPoly(k, ref.den))
     assert a == b and b == a
 
 
