@@ -6,8 +6,10 @@ parameters agree up to sign.  One comparison of beta with +alpha and -alpha
 makes the decision: a match gives the congruence witness Q = diag(1, +-1),
 gamma = 1, of the relation's coefficient form (1 alpha; 0 1), and the
 generator images of the isomorphism are read off Q; no match gives the
-certificate below.  A brute-force witness search over small prime fields is
-an independent oracle.
+certificate below.  An exhaustive witness search over GL_2(F_p) is an
+independent oracle: it scans the p^2 first columns of Q, solves the
+congruence's two linear off-diagonal entries for the second column, and
+never uses beta^2 = alpha^2.
 
 The not-congruent certificate comes from two invariants of a congruence
 Q^T * F_beta * Q = gamma * F_alpha with Q invertible, gamma != 0:
@@ -187,54 +189,62 @@ def _residue(x, p):
 def search_iso_degree2(alpha, beta, p):
     """Exhaustive degree-2 witness search over F_p (p an odd prime).
 
-    Scans all invertible Q in GL_2(F_p) in lexicographic entry order and
-    returns the first witness for Q^T * (1 beta; 0 1) * Q = gamma *
-    (1 alpha; 0 1), or None.  The (1,1) entries force gamma = m11, the
-    (1,1) entry of the left side, so each Q is tested against that one
-    scale; the search does not use the closed-form decision.
+    Returns the first witness, in lexicographic (q11, q12, q21, q22) order
+    over GL_2(F_p), for Q^T * (1 beta; 0 1) * Q = gamma * (1 alpha; 0 1),
+    or None.  The (1,1) entries force gamma = m11, the (1,1) entry of the
+    left side, so each Q is tested against that one scale; the search does
+    not use the closed-form decision.
 
-    It visits about p^3 candidates instead of p^4 by solving one entry
-    instead of enumerating it.  m11 = q11^2 + b*q11*q21 + q21^2 does not
-    involve q22, so a triple (q11, q12, q21) with m11 = 0 is passed over
-    whole.  The (2,1) entry m21 = q12*(q11 + b*q21) + q21*q22 is linear in
-    q22: for q21 != 0 its one root is q22 = -q12*(q11 + b*q21)/q21, and for
-    q21 = 0 either no q22 or every q22 solves it.  The triples come in the
-    same order as in the full scan and the surviving q22 ascend, so the
-    witness returned is the lexicographically first one.
+    It visits about p^2 first columns (q11, q21) and solves for the second
+    instead of enumerating it.  m11 = q11^2 + b*q11*q21 + q21^2 involves
+    only the first column, so a column with m11 = 0 is passed over whole.
+    The off-diagonal entries are linear in (q12, q22):
+
+        m21 = (q11 + b*q21)*q12 + q21*q22          = 0
+        m12 = q11*q12       + (b*q11 + q21)*q22    = a*m11
+
+    with determinant b*m11.  For b != 0 Cramer's rule gives the one
+    solution q12 = -a*q21/b, q22 = a*(q11 + b*q21)/b.  For b = 0 both rows
+    read q11*q12 + q21*q22, so there is no solution when a != 0, and when
+    a = 0 the solutions are t*(-q21, q11), where m22 = t^2*m11 leaves the
+    two candidates t = +-1.  Every candidate still has to pass det Q != 0
+    and m22 = m11.  All witnesses with a given q11 are among the
+    candidates of its columns, so the smallest (q12, q21, q22) among the
+    survivors of the first q11 that has any is the first witness of the
+    full scan.
     """
     a = _residue(alpha, p)
     b = _residue(beta, p)
-    inverse = [0] + [pow(x, -1, p) for x in range(1, p)]
+    if not b and a:
+        return None
+    b_inverse = pow(b, -1, p) if b else 0
     for q11 in range(p):
-        # (q21, m11) with m11 != 0, ascending in q21
-        column = []
+        survivors = []
         for q21 in range(p):
             m11 = (q11 * q11 + b * q11 * q21 + q21 * q21) % p
-            if m11:
-                column.append((q21, m11))
-        for q12 in range(p):
-            for q21, m11 in column:
-                # M = Q^T (1 b; 0 1) Q with m21 = c + q21*q22
-                c = q12 * (q11 + b * q21) % p
-                if q21:
-                    q22s = ((-c * inverse[q21]) % p,)
-                elif c:
+            if not m11:
+                continue
+            if b:
+                seconds = (
+                    (-a * q21 * b_inverse % p, a * (q11 + b * q21) * b_inverse % p),
+                )
+            else:
+                seconds = ((-q21 % p, q11), (q21, -q11 % p))
+            for q12, q22 in seconds:
+                if (q11 * q22 - q12 * q21) % p == 0:
                     continue
-                else:
-                    q22s = range(p)
-                for q22 in q22s:
-                    if (q11 * q22 - q12 * q21) % p == 0:
-                        continue
-                    m12 = (q11 * q12 + b * q11 * q22 + q21 * q22) % p
-                    m22 = (q12 * q12 + b * q12 * q22 + q22 * q22) % p
-                    if m22 == m11 and m12 == (m11 * a) % p:
-                        q = mat2(
-                            ModScalar(q11, p),
-                            ModScalar(q12, p),
-                            ModScalar(q21, p),
-                            ModScalar(q22, p),
-                        )
-                        return CongruenceWitness(q, ModScalar(m11, p))
+                m22 = (q12 * q12 + b * q12 * q22 + q22 * q22) % p
+                if m22 == m11:
+                    survivors.append((q12, q21, q22, m11))
+        if survivors:
+            q12, q21, q22, m11 = min(survivors)
+            q = mat2(
+                ModScalar(q11, p),
+                ModScalar(q12, p),
+                ModScalar(q21, p),
+                ModScalar(q22, p),
+            )
+            return CongruenceWitness(q, ModScalar(m11, p))
     return None
 
 

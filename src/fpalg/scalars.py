@@ -22,7 +22,7 @@ element has the shape t_i -> a_i * t_{pi(i)} + b_i for a permutation pi, and
 its inverse is stored explicitly.
 
 A finite-field scalar mode (ModScalar, odd prime modulus, no transcendentals)
-is provided for the brute-force congruence searches in the aalpha module.
+is provided for the exhaustive congruence search in the aalpha module.
 """
 
 from __future__ import annotations

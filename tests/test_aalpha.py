@@ -26,7 +26,7 @@ from fpalg import (
 )
 from fpalg.aalpha import mat2, mat2_det, mat2_mul, mat2_transpose
 from fpalg.scalars import one_like
-from allq_congruence import allq_search_iso_degree2
+from allq_congruence import allq_search_iso_degree2, solved_q22_search_iso_degree2
 
 Q = FieldSpec(0)
 QT = FieldSpec(1)
@@ -306,22 +306,50 @@ class TestFiniteFieldSearch:
             search_iso_degree2(1, 1, 4)
 
 
+def assert_same_first_witness(reference, p):
+    degenerate = 0
+    for a in range(p):
+        degenerate += (a * a - 4) % p == 0
+        for b in range(p):
+            expected = reference(a, b, p)
+            assert search_iso_degree2(a, b, p) == expected, (p, a, b)
+            assert search_iso_degree2(
+                ModScalar(a, p), ModScalar(b, p), p
+            ) == expected, (p, a, b)
+            assert search_iso_degree2(a - p, b + 2 * p, p) == expected, (p, a, b)
+    assert degenerate == 2  # a = +-2, where the symmetric part degenerates
+
+
 class TestSearchAgainstAllQ:
-    """The solved-q22 search returns the all-Q loop's first witness."""
+    """The column search returns the full scan's first witness."""
 
     @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
     def test_every_parameter_pair(self, p):
-        degenerate = 0
-        for a in range(p):
-            degenerate += (a * a - 4) % p == 0
-            for b in range(p):
-                expected = allq_search_iso_degree2(a, b, p)
-                assert search_iso_degree2(a, b, p) == expected, (p, a, b)
-                assert search_iso_degree2(
-                    ModScalar(a, p), ModScalar(b, p), p
-                ) == expected, (p, a, b)
-                assert search_iso_degree2(a - p, b + 2 * p, p) == expected, (p, a, b)
-        assert degenerate == 2  # a = +-2, where the symmetric part degenerates
+        assert_same_first_witness(allq_search_iso_degree2, p)
+
+    @pytest.mark.parametrize("p", [17, 19])
+    def test_every_parameter_pair_against_solved_q22(self, p):
+        # the p^4 loop is too slow here; the p^3 loop keeps the same order
+        assert_same_first_witness(solved_q22_search_iso_degree2, p)
+
+
+class TestSearchAtALargePrime:
+    @pytest.mark.parametrize("alpha", [2, 5])
+    def test_witness_exactly_when_isomorphic(self, alpha):
+        # alpha = 2 is degenerate mod 101, so it meets no non-degenerate beta;
+        # alpha = 5 meets beta = +-5
+        p = 101
+        found = []
+        for b in range(p):
+            if (b * b - 4) % p == 0:
+                continue
+            criterion = iso_aalpha(ModScalar(alpha, p), ModScalar(b, p))
+            witness = search_iso_degree2(alpha, b, p)
+            assert criterion == (witness is not None), b
+            if witness is not None:
+                assert congruence_check(ModScalar(alpha, p), ModScalar(b, p), witness)
+                found.append(b)
+        assert found == ([] if alpha == 2 else [5, 96])
 
 
 class TestOrbit:
