@@ -11,6 +11,11 @@ The matrix-unit relations are inhomogeneous, so dimensions here are filtered:
 spans of normal forms of words up to a length bound.  Fullness of an
 idempotent is a semidecision: a found combination sum a_i * e * b_i = 1 is a
 re-verifiable certificate, while absence at a bound stays unknown.
+
+Every verdict here reads one truncated basis of M_n(B), and that basis is
+never completed: _groebner_for completes the base B alone and writes the
+basis of M_n(B) down from B's (see its docstring for why that is the
+completed basis).
 """
 
 from __future__ import annotations
@@ -18,11 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .freealg import NCPoly
+from .freealg import NCPoly, deglex_key
 from .presentation import Presentation
 from .rewrite import (
     FactorAvoider,
     Span,
+    TruncatedGB,
     groebner,
     reduce_by_entries,
 )
@@ -107,10 +113,7 @@ def matrix_presentation(P, n):
                     )
                 )
     # base relations in the lifts: base generator k is relabelled z_(k+1)
-    for rel in P.relations:
-        relations.append(NCPoly.from_terms(
-            field, total, [(tuple(n * n + g for g in w), c) for w, c in rel.terms()]
-        ))
+    relations.extend(_lifted(rel, n, total) for rel in P.relations)
 
     pres = Presentation(
         field, tuple(names), tuple(relations), name=f"M{n}_{P.name}"
@@ -118,9 +121,99 @@ def matrix_presentation(P, n):
     return MatrixPresentation(P, n, pres)
 
 
+def _lifted(poly, n, total):
+    """A base polynomial in the lifts: base generator k becomes z_(k+1)."""
+    return NCPoly(
+        poly.field, total, {tuple(n * n + g for g in w): c for w, c in poly._terms.items()}
+    )
+
+
 def _groebner_for(MP, maxdeg):
+    """The reduced basis of M_n(B) complete to need, from B's basis alone.
+
+    need = max(maxdeg, maximal relation degree of M_n(B)).  Only B is
+    completed, to need; the basis of M_n(B) is then written down:
+
+    - the unit sum e11 + ... + enn - 1;
+    - e_ij*e_kl - delta_jk NF(e_il) for units e_ij, e_kl other than e11,
+      where NF(e11) = 1 - e22 - ... - enn;
+    - e_ij*z - z*e_ij for every unit other than e11 and every lift z that
+      is not itself a leading word of B's basis;
+    - B's basis, lifted to the z's;
+    - or 1 alone when B's basis holds a constant, since then so does this.
+
+    Leading words.  Deglex ranks x1 > x2 > ..., and the units come before
+    the lifts with e11 first, so the leading words are e11, e_ij*e_kl,
+    e_ij*z and B's own.  No leading word is a factor of another: e11 is
+    in no other; e_ij*e_kl and e_ij*z have length 2 and hold a unit, which
+    B's leading words do not, and z is not one of them; B's own are
+    factor-free since B's basis is reduced.  Each tail is normal: it is a
+    sum of 1 and units other than e11, or z*e_ij, or a tail of B's reduced
+    basis.
+
+    Overlaps.  A proper suffix of one leading word is a proper prefix of
+    another in three ways only, and each resolves:
+
+    - e_ij*e_kl*e_pq, unit-unit-unit.  Reduction keeps a polynomial in the
+      units alone, and its normal words are 1 and the units other than e11.
+      Sending e_ij to the elementary matrix E_ij maps every rule to zero
+      (E_11 = I - E_22 - ... - E_nn), and maps those normal words to a
+      basis of M_n(F).  Both reductions therefore end at the one normal
+      polynomial whose image is E_ij E_kl E_pq: they agree.
+    - e_ij*e_kl*z and e_ij*z*v with z*v a leading word of B: a commutation
+      rule.  The lifts in such a word are not eliminated, and nor are the
+      letters of a tail of B's basis, since that tail is normal, so the
+      commutation rules carry a unit across them to the right.  The first
+      word reduces both ways to z * delta_jk NF(e_il).  In the second, one
+      side moves e_ij to the end and then rewrites z*v by B's rule; the
+      other rewrites z*v first and then moves e_ij to the end of each tail
+      word.  Both give (tail of the B rule) * e_ij, which is normal.  The
+      lifts are central, so these resolve at every degree.
+    - overlaps of B's leading words.  These reduce by B's rules alone, and
+      they resolve up to need because B's basis is complete to need.
+
+    By Bergman's diamond lemma (Adv. Math. 29, 1978), truncated at need,
+    this reduced set is a basis complete to need, so complete_to = need.
+    Completing the whole matrix presentation to need stays the reference
+    for its basis tuple, and the tests compare the two, element by
+    element.  Since the mixed overlaps resolve at every degree, this basis
+    resolves all of its overlaps exactly when B's basis does.
+    """
     need = max(maxdeg, MP.pres.max_relation_degree())
-    return groebner(MP.pres, need)
+    base_gb = groebner(MP.base, need)
+    field, n, m = MP.pres.field, MP.n, MP.pres.num_gens
+    one = Scalar.one(field)
+    if () in base_gb.entries():
+        elements = [NCPoly.one(field, m)]
+    else:
+        units = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)][1:]  # not e11
+        diagonal = [(MP.unit_index(k, k),) for k in range(2, n + 1)]  # e22 .. enn
+        nf_e11 = {(): one, **{w: -one for w in diagonal}}
+        unit_sum = {(MP.unit_index(1, 1),): one, (): -one, **{w: one for w in diagonal}}
+        elements = [NCPoly(field, m, unit_sum)]
+        for i, j in units:
+            for k, l in units:
+                terms = {(MP.unit_index(i, j), MP.unit_index(k, l)): one}
+                if j == k:
+                    nf = nf_e11 if (i, l) == (1, 1) else {(MP.unit_index(i, l),): one}
+                    terms.update((w, -c) for w, c in nf.items())
+                elements.append(NCPoly(field, m, terms))
+        for k in range(MP.base.num_gens):
+            if (k,) not in base_gb.entries():
+                z = MP.lift_index(k)
+                for i, j in units:
+                    u = MP.unit_index(i, j)
+                    elements.append(NCPoly(field, m, {(u, z): one, (z, u): -one}))
+        elements += [_lifted(g, n, m) for g in base_gb.basis]
+        elements.sort(key=lambda g: deglex_key(g.leading_word()))
+    # the index B's completion built, held by nothing else, becomes this
+    # basis's own, so a query still builds one index
+    index = base_gb.entries()
+    for g in base_gb.basis:
+        index.remove(g.leading_word())
+    for g in elements:
+        index.add(g.leading_word(), g)
+    return TruncatedGB(field, m, tuple(elements), need, index)
 
 
 def filtered_dimension(MP, d):
@@ -139,9 +232,10 @@ def filtered_dimension(MP, d):
 
 
 def _basis_and_idempotency(e, MP, gbdeg):
-    """The basis complete to gbdeg (or to the relations' degree) and whether
-    e*e - e reduces to zero by it.  Fullness and corners complete to at
-    least 2 deg e, so only verify_idempotent can run out of degree here."""
+    """The basis of M_n(B) complete to gbdeg (or to the relations' degree)
+    and whether e*e - e reduces to zero by it.  The basis comes from
+    _groebner_for, which completes B alone.  Fullness and corners ask for
+    at least 2 deg e, so only verify_idempotent can run out of degree here."""
     if e.field != MP.pres.field or e.num_gens != MP.pres.num_gens:
         raise MismatchError("element over a different context")
     gb = _groebner_for(MP, gbdeg)

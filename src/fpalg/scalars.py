@@ -12,8 +12,7 @@ ints reduced with math.gcd; over Q(t1..tk) the matrix-unit and commutation
 coefficients +-1 stay ints too, a polynomial part meets an int one through
 math.gcd on its content, and two polynomial parts meet through
 ZPoly.cofactors (the heuristic gcd GCDHEU with an exact fallback).  sympy is
-imported only to build the numerator and denominator views, as ZZ[t1..tk]
-ring elements, on request, and by that fallback.
+imported only by that fallback.
 
 Automorphisms are restricted to the invertible coefficient-field maps
 generated by generator permutations and per-generator affine maps
@@ -31,7 +30,6 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .zpoly import ZPoly
 
@@ -57,21 +55,6 @@ class FieldSpec:
         if self.num_generators == 0:
             return "Q"
         return "Q(" + ",".join(self.generator_names()) + ")"
-
-
-@lru_cache(maxsize=None)
-def _int_ring(k):
-    # the ring of the numerator and denominator views; besides the exact gcd
-    # fallback in zpoly, the only place that imports sympy
-    from sympy.polys.domains import ZZ
-    from sympy.polys.rings import ring
-
-    return ring(" ".join(f"t{i + 1}" for i in range(k)), ZZ)[0]
-
-
-def _ring_element(part, k):
-    R = _int_ring(k)
-    return R(part) if type(part) is int else R.from_dict(part)
 
 
 def _grlex_key(monomial):
@@ -230,16 +213,6 @@ class Scalar:
         return cls.from_int(field, 1)
 
     # -- queries -----------------------------------------------------------
-
-    @property
-    def numerator(self):
-        """Canonical numerator as a sympy ZZ[t1..tk] element, built on access."""
-        return _ring_element(self._num, self.field.num_generators)
-
-    @property
-    def denominator(self):
-        """Canonical denominator as a sympy ZZ[t1..tk] element, built on access."""
-        return _ring_element(self._den, self.field.num_generators)
 
     def __bool__(self):
         return bool(self._num)

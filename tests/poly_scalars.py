@@ -5,20 +5,43 @@ ints: both parts are sympy integer polynomials in every field, the gcd is
 taken with PolyElement.gcd and divided out with two exquo calls, and the
 denominator's graded-lex leading coefficient is made positive.  The
 differential tests hold Scalar to exactly these values, strings and hashes.
+numerator() and denominator() give a Scalar's parts in the same form.
 """
 
 import math
 from functools import lru_cache
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.rings import ring
 
-from fpalg.scalars import _grlex_key, _int_ring, _poly_text
+from fpalg.scalars import _grlex_key, _poly_text
+
+
+@lru_cache(maxsize=None)
+def int_ring(k):
+    """ZZ[t1..tk], the ring of the reference parts."""
+    return ring(" ".join(f"t{i + 1}" for i in range(k)), ZZ)[0]
 
 
 @lru_cache(maxsize=None)
 def _rat_ring(k):
     return ring(" ".join(f"t{i + 1}" for i in range(k)), QQ)[0]
+
+
+def ring_element(part, k):
+    """A Scalar part, an int or a ZPoly, as an element of int_ring(k)."""
+    R = int_ring(k)
+    return R(part) if type(part) is int else R.from_dict(part)
+
+
+def numerator(scalar):
+    """The canonical numerator of a Scalar as an int_ring element."""
+    return ring_element(scalar._num, scalar.field.num_generators)
+
+
+def denominator(scalar):
+    """The canonical denominator of a Scalar as an int_ring element."""
+    return ring_element(scalar._den, scalar.field.num_generators)
 
 
 def _leading_coeff(poly):
@@ -29,7 +52,7 @@ class PolyScalar:
     """A canonical (numerator, denominator) pair of ring elements."""
 
     def __init__(self, field, num, den):
-        R = _int_ring(field.num_generators)
+        R = int_ring(field.num_generators)
         num, den = R(num), R(den)
         if not den:
             raise ZeroDivisionError("zero denominator")
@@ -44,7 +67,7 @@ class PolyScalar:
 
     @classmethod
     def of(cls, scalar):
-        return cls(scalar.field, scalar.numerator, scalar.denominator)
+        return cls(scalar.field, numerator(scalar), denominator(scalar))
 
     def __add__(self, other):
         return PolyScalar(
@@ -93,7 +116,7 @@ class PolyScalar:
         for poly in (num_q, den_q):
             for coeff in poly.values():
                 common = math.lcm(common, int(coeff.denominator))
-        R = _int_ring(self.field.num_generators)
+        R = int_ring(self.field.num_generators)
         return PolyScalar(
             self.field,
             R.from_dict({m: int(c * common) for m, c in num_q.items()}),

@@ -7,6 +7,7 @@ from sympy import QQ, symbols
 from sympy.polys.matrices import DomainMatrix
 
 from fpalg import FieldSpec, Scalar
+from poly_scalars import denominator, numerator
 from randgen import rich_scalar
 from span_oracle import sparse_field_rank
 
@@ -23,7 +24,7 @@ def reference_rank(rows):
     k = rows[0][0].field.num_generators
     domain = QQ.frac_field(*symbols(f"t1:{k + 1}")) if k else QQ
     entries = [
-        [domain.from_sympy(s.numerator.as_expr() / s.denominator.as_expr()) for s in row]
+        [domain.from_sympy(numerator(s).as_expr() / denominator(s).as_expr()) for s in row]
         for row in rows
     ]
     return DomainMatrix(entries, (len(rows), len(rows[0])), domain).rank()
