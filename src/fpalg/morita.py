@@ -10,7 +10,10 @@ so the quotient really is the n x n matrix algebra over the base quotient.
 The matrix-unit relations are inhomogeneous, so dimensions here are filtered:
 spans of normal forms of words up to a length bound.  Fullness of an
 idempotent is a semidecision: a found combination sum a_i * e * b_i = 1 is a
-re-verifiable certificate, while absence at a bound stays unknown.
+re-verifiable certificate, while absence at a bound stays unknown.  The
+search inserts u*e*v only when u*e*v extends, by one letter on either side,
+an insert that grew the span; it finds the certificate that inserting every
+u*e*v with |u| + |v| <= d finds (see is_full_idempotent for why).
 
 Every verdict here reads one truncated basis of M_n(B), and that basis is
 never completed: _groebner_for completes the base B alone and writes the
@@ -21,7 +24,6 @@ completed basis).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .freealg import NCPoly, deglex_key
 from .presentation import Presentation
@@ -287,6 +289,33 @@ def is_full_idempotent(e, MP, d):
     residue sum c * u*e*v - 1 reduces to zero by the basis of the search;
     otherwise the verdict is unknown at this bound, since non-fullness is
     not certifiable by a bounded search.
+
+    The search walks the rank-growing frontier.  A tag (u, v) stands for
+    the insert NF(u*e*v); tags are inserted by total length |u| + |v|, and
+    within a length in the order (len u, u, v).  Length 0 holds only
+    ((), ()).  At length t + 1 the only tags inserted are (x*u, v) and
+    (u, v*x), for every generator x and every tag (u, v) whose insert grew
+    the rank at length t.  The span, its pivots and the certificate are
+    those of inserting every tag up to length d, because:
+
+    - Left multiplication by a letter maps every tag that comes before
+      (u, v) to a tag that comes before (x*u, v): a shorter total length
+      stays shorter, a shorter u stays shorter, and same-length words keep
+      their lex order.  So does right multiplication, onto (u, v*x).
+    - The basis is complete to _fullness_degree, so NF is linear up to it,
+      and a polynomial that reduces to zero still does after multiplying
+      by a letter within that degree.  If NF(u*e*v) is a combination of
+      the inserts of earlier tags, then NF(x*u*e*v) and NF(u*e*v*x) are
+      the same combination of the inserts of their images, which come
+      earlier.  So if a tag does not grow the rank, neither does any
+      extension of it, and every tag that grows the rank at length t + 1
+      extends, on either side where it has a letter, one that grew it at
+      length t.
+    - An insert that does not grow the rank leaves the Span unchanged.
+      The frontier inserts, in the same order, a subsequence of all the
+      tags that holds every rank-growing one, so each pivot and its
+      combination are the ones the all-words loop finds, and so is every
+      certificate.
     """
     if d < 0:
         raise ValueError("fullness degree must be >= 0")
@@ -302,17 +331,19 @@ def is_full_idempotent(e, MP, d):
     target = reduce_by_entries(one_poly, entries)
     span = Span()
     left = {(): reduce_by_entries(e, entries)}  # u -> NF(u * e)
+    frontier = [((), ())]
     for total in range(d + 1):
-        # u ascending by (length, lex), so u[1:] is always cached
-        for ulen in range(total + 1):
-            for u in product(range(m), repeat=ulen):
-                if u not in left:
-                    left[u] = reduce_by_entries(
-                        NCPoly.monomial(MP.pres.field, m, (u[0],)) * left[u[1:]], entries
-                    )
-                for v in product(range(m), repeat=total - ulen):
-                    vec = reduce_by_entries(left[u].mul_word((), v), entries)
-                    span.add(vec, (u, v))
+        grown = []
+        for u, v in frontier:
+            # every u here is x*u' or u' for a tag (u', v') inserted before,
+            # so u[1:] is always cached
+            if u not in left:
+                left[u] = reduce_by_entries(
+                    NCPoly.monomial(MP.pres.field, m, (u[0],)) * left[u[1:]], entries
+                )
+            vec = reduce_by_entries(left[u].mul_word((), v), entries)
+            if span.add(vec, (u, v)):
+                grown.append((u, v))
         combo = span.express(target)
         if combo is not None:
             certificate = tuple(
@@ -322,6 +353,9 @@ def is_full_idempotent(e, MP, d):
             if not reduce_by_entries(residue, entries).is_zero():
                 raise ValueError("fullness certificate does not reduce to zero")
             return FullnessVerdict(True, total, certificate)
+        extended = {((x,) + u, v) for u, v in grown for x in range(m)}
+        extended |= {(u, v + (x,)) for u, v in grown for x in range(m)}
+        frontier = sorted(extended, key=lambda tag: (len(tag[0]), tag))
     return FullnessVerdict(False, d)
 
 

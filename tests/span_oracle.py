@@ -85,3 +85,14 @@ def ideal_membership_oracle(P, f):
         if sparse_field_rank(rows + [component]) > sparse_field_rank(rows):
             return False
     return True
+
+
+def filtered_membership_oracle(P, f, D):
+    """Whether f is a combination of the products u * r * v of degree <= D.
+
+    A yes proves membership in the relation ideal for any relations,
+    homogeneous or not; a no only holds for combinations up to degree D.
+    """
+    rational = P.field.num_generators == 0
+    rows = [row for n in range(D + 1) for row in _ideal_rows(P, n, rational)]
+    return sparse_field_rank(rows + [_row_of(f, rational)]) == sparse_field_rank(rows)
