@@ -15,25 +15,20 @@ search inserts u*e*v only when u*e*v extends, by one letter on either side,
 an insert that grew the span; it finds the certificate that inserting every
 u*e*v with |u| + |v| <= d finds (see is_full_idempotent for why).
 
-Every verdict here reads one truncated basis of M_n(B), and that basis is
-never completed: _groebner_for completes the base B alone and writes the
-basis of M_n(B) down from B's (see its docstring for why that is the
-completed basis).
+Every verdict here completes the base B alone, and no basis of M_n(B) is
+written down: matrix_normal_form reads an element as an n x n matrix over
+B, reduces each entry by B's basis and writes the matrix back in normal
+words (see its docstring for why that is the normal form a completed
+basis of M_n(B) gives).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .freealg import NCPoly, deglex_key
+from .freealg import NCPoly
 from .presentation import Presentation
-from .rewrite import (
-    FactorAvoider,
-    Span,
-    TruncatedGB,
-    groebner,
-    reduce_by_entries,
-)
+from .rewrite import FactorAvoider, Span, groebner, reduce_by_entries
 from .scalars import MismatchError, Scalar
 
 
@@ -130,11 +125,34 @@ def _lifted(poly, n, total):
     )
 
 
-def _groebner_for(MP, maxdeg):
-    """The reduced basis of M_n(B) complete to need, from B's basis alone.
+def _base_basis(MP, maxdeg):
+    """B's basis complete to need = max(maxdeg, 2, maximal relation degree
+    of B), which is max(maxdeg, maximal relation degree of M_n(B)): the
+    unit relations have degree 2 and the lifted base relations keep theirs.
+    """
+    B = MP.base
+    return groebner(B, max(maxdeg, 2, B.max_relation_degree()))
 
-    need = max(maxdeg, maximal relation degree of M_n(B)).  Only B is
-    completed, to need; the basis of M_n(B) is then written down:
+
+def matrix_normal_form(f, MP, base_gb):
+    """The normal form of f in M_n(B), read off an n x n matrix over B.
+
+    base_gb is B's basis from _base_basis, complete to need; the normal form
+    is the one a basis of M_n(B) complete to need gives, and f may not be of
+    higher degree, where that one is not unique.  A word of f is its lifts,
+    read as a word b of B since they are central, times the product of its
+    units in order, which is 0, the identity or one E_ij.  Summing c * b
+    into the matrix entries gives f = sum x_ij E_ij, and the normal form is
+
+        NF(x11) * 1 + sum_{k>=2} NF(x_kk - x11) * e_kk
+                    + sum_{i != j} NF(x_ij) * e_ij,
+
+    each NF by B's basis and each B-word written back in the lifts, before
+    the unit.  It is 0 when B's basis holds a constant, which reduces every
+    entry to 0.
+
+    Why that is the normal form.  The reduced basis of M_n(B) complete to
+    need, in deglex with the units before the lifts and e11 first, is:
 
     - the unit sum e11 + ... + enn - 1;
     - e_ij*e_kl - delta_jk NF(e_il) for units e_ij, e_kl other than e11,
@@ -144,14 +162,14 @@ def _groebner_for(MP, maxdeg):
     - B's basis, lifted to the z's;
     - or 1 alone when B's basis holds a constant, since then so does this.
 
-    Leading words.  Deglex ranks x1 > x2 > ..., and the units come before
-    the lifts with e11 first, so the leading words are e11, e_ij*e_kl,
-    e_ij*z and B's own.  No leading word is a factor of another: e11 is
-    in no other; e_ij*e_kl and e_ij*z have length 2 and hold a unit, which
-    B's leading words do not, and z is not one of them; B's own are
-    factor-free since B's basis is reduced.  Each tail is normal: it is a
-    sum of 1 and units other than e11, or z*e_ij, or a tail of B's reduced
-    basis.
+    Leading words.  Deglex ranks x1 > x2 > ..., so the leading words are
+    e11, e_ij*e_kl, e_ij*z and B's own.  No leading word is a factor of
+    another: e11 is in no other; e_ij*e_kl and e_ij*z have length 2 and
+    hold a unit, which B's leading words do not, and z is not one of them;
+    B's own are factor-free since B's basis is reduced.  Each tail is
+    normal: it is a sum of 1 and units other than e11, or z*e_ij, or a tail
+    of B's reduced basis.  The normal words are therefore the B-normal
+    z-words, alone or followed by one unit other than e11.
 
     Overlaps.  A proper suffix of one leading word is a proper prefix of
     another in three ways only, and each resolves:
@@ -175,78 +193,88 @@ def _groebner_for(MP, maxdeg):
       they resolve up to need because B's basis is complete to need.
 
     By Bergman's diamond lemma (Adv. Math. 29, 1978), truncated at need,
-    this reduced set is a basis complete to need, so complete_to = need.
-    Completing the whole matrix presentation to need stays the reference
-    for its basis tuple, and the tests compare the two, element by
-    element.  Since the mixed overlaps resolve at every degree, this basis
-    resolves all of its overlaps exactly when B's basis does.
+    this reduced set is a basis complete to need, and every way of
+    reducing f by it ends at the same normal polynomial.  Moving each unit
+    right past the lifts, multiplying the units out, rewriting E_11 and
+    reducing each entry's B-words by B's rules is one such way, and it
+    never passes degree need; so the matrix above is that normal form.
+    Since the mixed overlaps resolve at every degree, the basis resolves
+    all of its overlaps exactly when B's basis does.  Completing the whole
+    matrix presentation to need stays the reference, and the tests compare
+    the two.
     """
-    need = max(maxdeg, MP.pres.max_relation_degree())
-    base_gb = groebner(MP.base, need)
-    field, n, m = MP.pres.field, MP.n, MP.pres.num_gens
-    one = Scalar.one(field)
-    if () in base_gb.entries():
-        elements = [NCPoly.one(field, m)]
-    else:
-        units = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)][1:]  # not e11
-        diagonal = [(MP.unit_index(k, k),) for k in range(2, n + 1)]  # e22 .. enn
-        nf_e11 = {(): one, **{w: -one for w in diagonal}}
-        unit_sum = {(MP.unit_index(1, 1),): one, (): -one, **{w: one for w in diagonal}}
-        elements = [NCPoly(field, m, unit_sum)]
-        for i, j in units:
-            for k, l in units:
-                terms = {(MP.unit_index(i, j), MP.unit_index(k, l)): one}
-                if j == k:
-                    nf = nf_e11 if (i, l) == (1, 1) else {(MP.unit_index(i, l),): one}
-                    terms.update((w, -c) for w, c in nf.items())
-                elements.append(NCPoly(field, m, terms))
-        for k in range(MP.base.num_gens):
-            if (k,) not in base_gb.entries():
-                z = MP.lift_index(k)
-                for i, j in units:
-                    u = MP.unit_index(i, j)
-                    elements.append(NCPoly(field, m, {(u, z): one, (z, u): -one}))
-        elements += [_lifted(g, n, m) for g in base_gb.basis]
-        elements.sort(key=lambda g: deglex_key(g.leading_word()))
-    # the index B's completion built, held by nothing else, becomes this
-    # basis's own, so a query still builds one index
+    need = base_gb.complete_to
+    field, n = MP.pres.field, MP.n
+    nn = n * n
+    diagonal = [k * (n + 1) for k in range(1, n)]  # e22 .. enn
+    # unit index -> B-word -> coefficient: e11's index 0 holds x11, e_kk's
+    # holds x_kk - x11, and the identity adds to index 0 alone
+    matrix = {}
+    for w, c in f._terms.items():
+        if len(w) > need:
+            raise DegreeBudgetError(f"degree {f.degree()} exceeds verified degree {need}")
+        unit = -1  # the identity until a unit comes
+        b = []
+        for g in w:
+            if g >= nn:
+                b.append(g - nn)
+            elif unit < 0:
+                unit = g
+            elif unit % n == g // n:
+                unit += g % n - unit % n  # E_(r,s) E_(s,j) = E_(r,j)
+            else:
+                break  # E_(r,s) E_ij = 0 for i != s
+        else:
+            b = tuple(b)
+            targets = [(max(unit, 0), c)]
+            if unit == 0:  # E_11 = I - E_22 - ... - E_nn
+                targets += [(k, -c) for k in diagonal]
+            for key, coeff in targets:
+                entry = matrix.setdefault(key, {})
+                entry[b] = entry[b] + coeff if b in entry else coeff
+
     index = base_gb.entries()
-    for g in base_gb.basis:
-        index.remove(g.leading_word())
-    for g in elements:
-        index.add(g.leading_word(), g)
-    return TruncatedGB(field, m, tuple(elements), need, index)
+    out = {}
+    for unit, terms in matrix.items():
+        reduced = reduce_by_entries(NCPoly._make(field, MP.base.num_gens, terms), index)
+        suffix = (unit,) if unit else ()
+        for b, c in reduced._terms.items():
+            out[tuple(nn + g for g in b) + suffix] = c
+    return NCPoly(field, MP.pres.num_gens, out)
 
 
 def filtered_dimension(MP, d):
     """Dimension of the span of normal forms of all words of length <= d.
 
-    Computed against the truncated basis at degree d + 2.  With a
-    degree-compatible order the normal form of any word of length <= d is a
-    combination of normal words of length <= d, and normal words are their
-    own normal forms, so the span dimension equals the count of normal words.
+    With a degree-compatible order the normal form of any word of length
+    <= d is a combination of normal words of length <= d, and normal words
+    are their own normal forms, so the span dimension equals the count of
+    normal words of M_n(B) at degree d + 2.  Those are the B-normal z-words
+    of length <= d, and those of length <= d - 1 followed by one of the
+    n^2 - 1 units other than e11 (see matrix_normal_form), so B's counts
+    b_c give sum_{c<=d} b_c + (n^2 - 1) * sum_{c<=d-1} b_c.
     """
     if d < 2:
         raise ValueError("filtration degree must be >= 2")
-    gb = _groebner_for(MP, d + 2)
-    avoider = FactorAvoider(MP.pres.num_gens, gb.entries())
-    return avoider.count_up_to(d)
+    base_gb = _base_basis(MP, d + 2)
+    counts = FactorAvoider(MP.base.num_gens, base_gb.entries()).counts(d)
+    return sum(counts) + (MP.n * MP.n - 1) * sum(counts[:d])
 
 
 def _basis_and_idempotency(e, MP, gbdeg):
-    """The basis of M_n(B) complete to gbdeg (or to the relations' degree)
-    and whether e*e - e reduces to zero by it.  The basis comes from
-    _groebner_for, which completes B alone.  Fullness and corners ask for
-    at least 2 deg e, so only verify_idempotent can run out of degree here."""
+    """B's basis complete to gbdeg (or to the relations' degree) and whether
+    e*e - e has matrix normal form zero by it.  Fullness and corners ask
+    for at least 2 deg e, so only verify_idempotent can run out of degree
+    here."""
     if e.field != MP.pres.field or e.num_gens != MP.pres.num_gens:
         raise MismatchError("element over a different context")
-    gb = _groebner_for(MP, gbdeg)
+    base_gb = _base_basis(MP, gbdeg)
     probe = e * e - e
-    if probe.degree() > gb.complete_to:
+    if probe.degree() > base_gb.complete_to:
         raise DegreeBudgetError(
-            f"degree {probe.degree()} of e*e - e exceeds verified degree {gb.complete_to}"
+            f"degree {probe.degree()} of e*e - e exceeds verified degree {base_gb.complete_to}"
         )
-    return gb, reduce_by_entries(probe, gb.entries()).is_zero()
+    return base_gb, matrix_normal_form(probe, MP, base_gb).is_zero()
 
 
 def verify_idempotent(e, MP, d):
@@ -319,18 +347,16 @@ def is_full_idempotent(e, MP, d):
     """
     if d < 0:
         raise ValueError("fullness degree must be >= 0")
-    gb, idempotent = _basis_and_idempotency(e, MP, _fullness_degree(e, d))
+    base_gb, idempotent = _basis_and_idempotency(e, MP, _fullness_degree(e, d))
     if not idempotent:
         raise ValueError(_NOT_IDEMPOTENT)
     if e.is_zero():
         raise ValueError("the zero element is never a full idempotent")
-    entries = gb.entries()
 
     m = MP.pres.num_gens
-    one_poly = NCPoly.one(MP.pres.field, m)
-    target = reduce_by_entries(one_poly, entries)
+    target = matrix_normal_form(NCPoly.one(MP.pres.field, m), MP, base_gb)
     span = Span()
-    left = {(): reduce_by_entries(e, entries)}  # u -> NF(u * e)
+    left = {(): matrix_normal_form(e, MP, base_gb)}  # u -> NF(u * e)
     frontier = [((), ())]
     for total in range(d + 1):
         grown = []
@@ -338,10 +364,8 @@ def is_full_idempotent(e, MP, d):
             # every u here is x*u' or u' for a tag (u', v') inserted before,
             # so u[1:] is always cached
             if u not in left:
-                left[u] = reduce_by_entries(
-                    NCPoly.monomial(MP.pres.field, m, (u[0],)) * left[u[1:]], entries
-                )
-            vec = reduce_by_entries(left[u].mul_word((), v), entries)
+                left[u] = matrix_normal_form(left[u[1:]].mul_word(u[:1], ()), MP, base_gb)
+            vec = matrix_normal_form(left[u].mul_word((), v), MP, base_gb)
             if span.add(vec, (u, v)):
                 grown.append((u, v))
         combo = span.express(target)
@@ -350,7 +374,7 @@ def is_full_idempotent(e, MP, d):
                 sorted(combo.items(), key=lambda kv: (len(kv[0][0]) + len(kv[0][1]), kv[0]))
             )
             residue = _certificate_residue(e, MP, certificate)
-            if not reduce_by_entries(residue, entries).is_zero():
+            if not matrix_normal_form(residue, MP, base_gb).is_zero():
                 raise ValueError("fullness certificate does not reduce to zero")
             return FullnessVerdict(True, total, certificate)
         extended = {((x,) + u, v) for u, v in grown for x in range(m)}
@@ -368,8 +392,25 @@ def verify_fullness_certificate(e, MP, certificate, d):
     the identity at any degree.
     """
     acc = _certificate_residue(e, MP, certificate)
-    gb = _groebner_for(MP, max(_fullness_degree(e, d), acc.degree()))
-    return reduce_by_entries(acc, gb.entries()).is_zero()
+    base_gb = _base_basis(MP, max(_fullness_degree(e, d), acc.degree()))
+    return matrix_normal_form(acc, MP, base_gb).is_zero()
+
+
+def _normal_words(MP, base_gb, d):
+    """The normal words of M_n(B) of each length 0..d: the B-normal z-words
+    of length c, from a FactorAvoider over B's leading words, then those of
+    length c - 1 followed by a unit other than e11 (see matrix_normal_form).
+    """
+    nn = MP.n * MP.n
+    lifted = [
+        [tuple(nn + g for g in b) for b in words]
+        for words in FactorAvoider(MP.base.num_gens, base_gb.entries()).words_up_to(d)
+    ]
+    # e11 is unit index 0
+    return [lifted[0]] + [
+        lifted[c] + [b + (u,) for b in lifted[c - 1] for u in range(1, nn)]
+        for c in range(1, d + 1)
+    ]
 
 
 def corner_filtered_dims(e, MP, d):
@@ -383,31 +424,25 @@ def corner_filtered_dims(e, MP, d):
     basis is confluent up to gbdeg, so NF is linear there and sends those
     terms to zero.  Hence NF(e*w*e) lies in the span of NF(e*w'*e) over
     normal w' with |w'| <= |w|, and the span at every c, so every dim, is
-    the one over all words.  The normal words come from a FactorAvoider
-    over the leading words; a prefix of a normal word is normal, so the
-    prefix cache always holds w[:-1].
+    the one over all words.  The normal words come from _normal_words, and
+    the order they are inserted in does not change a span.  Each one's
+    prefix w[:-1] is a normal word one shorter, so the prefix cache always
+    holds it.
     """
     if d < 0:
         raise ValueError("corner degree must be >= 0")
     edeg = max(e.degree(), 1)
-    gb, idempotent = _basis_and_idempotency(e, MP, max(d + 2 * edeg, 2 * edeg))
+    base_gb, idempotent = _basis_and_idempotency(e, MP, max(d + 2 * edeg, 2 * edeg))
     if not idempotent:
         raise ValueError(_NOT_IDEMPOTENT)
-    entries = gb.entries()
 
-    m = MP.pres.num_gens
-    normal = FactorAvoider(m, entries).words_up_to(d)
     span = Span()
     dims = []
-    left = {(): reduce_by_entries(e, entries)}  # w -> NF(e * w)
-    for words in normal:
+    left = {(): matrix_normal_form(e, MP, base_gb)}  # w -> NF(e * w)
+    for words in _normal_words(MP, base_gb, d):
         for w in words:
             if w not in left:
-                prev = left[w[:-1]]
-                left[w] = reduce_by_entries(
-                    prev * NCPoly.monomial(MP.pres.field, m, (w[-1],)), entries
-                )
-            vec = reduce_by_entries(left[w] * e, entries)
-            span.add(vec)
+                left[w] = matrix_normal_form(left[w[:-1]].mul_word((), w[-1:]), MP, base_gb)
+            span.add(matrix_normal_form(left[w] * e, MP, base_gb))
         dims.append(len(span))
     return dims

@@ -460,24 +460,48 @@ class Span:
     """
 
     def __init__(self):
-        self._pivots = {}  # leading word -> (monic poly, combo: tag -> Scalar)
+        # leading word -> (tail of the monic pivot as (word, coeff) pairs,
+        # combo: tag -> Scalar)
+        self._pivots = {}
 
     def __len__(self):
         return len(self._pivots)
 
     def _reduce(self, f, combo):
-        # combo, when given, is updated along with f
-        while True:
-            hit = None
-            for w, c in f.terms():
-                if w in self._pivots:
-                    hit = (w, c)
-                    break
+        """(terms left, their largest word or None) of f reduced by the pivots.
+
+        As in reduce_by_entries, the words wait in a heap, largest first, and
+        each pivot word met is replaced by -c times the pivot's tail, which
+        holds only smaller words.  combo, when given, is updated along with
+        the terms.
+        """
+        work = dict(f._terms)
+        pending = [descending_key(w) for w in work]
+        heapq.heapify(pending)
+        pivots = self._pivots
+        lead = None
+        while pending:
+            w = heapq.heappop(pending)[1]
+            if w not in work:
+                continue  # cancelled after it was queued
+            hit = pivots.get(w)
             if hit is None:
-                return f
-            w, c = hit
-            pivot, pivot_combo = self._pivots[w]
-            f = f - pivot.scale(c)
+                if lead is None:
+                    lead = w
+                continue
+            c = work.pop(w)
+            tail, pivot_combo = hit
+            for wt, ct in tail:
+                delta = c * ct
+                if wt in work:
+                    nc = work[wt] - delta
+                    if nc:
+                        work[wt] = nc
+                    else:
+                        del work[wt]
+                else:
+                    work[wt] = -delta
+                    heapq.heappush(pending, descending_key(wt))
             if combo is not None:
                 factor = -c
                 for tag, pc in pivot_combo.items():
@@ -490,27 +514,28 @@ class Span:
                             del combo[tag]
                     else:
                         combo[tag] = delta
+        return work, lead
 
     def add(self, f, tag=None):
         """Insert f if independent; True when the rank grew."""
         combo = None if tag is None else {tag: Scalar.one(f.field)}
-        f = self._reduce(f, combo)
-        if f.is_zero():
+        work, lead = self._reduce(f, combo)
+        if lead is None:
             return False
+        inv = Scalar.one(f.field) / work.pop(lead)
         if combo is not None:
-            inv = Scalar.one(f.field) / f.leading_coeff()
             combo = {t: c * inv for t, c in combo.items()}
-        self._pivots[f.leading_word()] = (f.monic(), combo)
+        self._pivots[lead] = (tuple((w, c * inv) for w, c in work.items()), combo)
         return True
 
     def contains(self, f):
-        return self._reduce(f, None).is_zero()
+        return self._reduce(f, None)[1] is None
 
     def express(self, target):
         """{tag: c} with sum c * (insert of tag) = target, or None when
         target is outside the span."""
         combo = {}
-        if self._reduce(target, combo).is_zero():
+        if self._reduce(target, combo)[1] is None:
             return {t: -c for t, c in combo.items()}
         return None
 

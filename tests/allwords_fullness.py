@@ -3,8 +3,10 @@
 This is the loop fpalg's is_full_idempotent used before it walked the
 rank-growing frontier: at each total length |u| + |v|, every u in
 (length, lex) order and, for each, every v in lex order, each reduced
-through the same left cache and inserted into one span.  The differential
-tests hold is_full_idempotent to the same verdict, bound and certificate.
+through the same left cache and inserted into one span.  It reduces by
+groebner(MP.pres, need), the completion of the whole matrix presentation,
+so it shares no code with the matrix normal form.  The differential tests
+hold is_full_idempotent to the same verdict, bound and certificate.
 """
 
 from itertools import product
@@ -13,23 +15,22 @@ from fpalg.freealg import NCPoly
 from fpalg.morita import (
     _NOT_IDEMPOTENT,
     FullnessVerdict,
-    _basis_and_idempotency,
     _certificate_residue,
     _fullness_degree,
 )
-from fpalg.rewrite import Span, reduce_by_entries
+from fpalg.rewrite import Span, groebner, reduce_by_entries
 
 
 def allwords_full_idempotent(e, MP, d):
     """is_full_idempotent(e, MP, d) by the all-words loop."""
     if d < 0:
         raise ValueError("fullness degree must be >= 0")
-    gb, idempotent = _basis_and_idempotency(e, MP, _fullness_degree(e, d))
-    if not idempotent:
+    need = max(_fullness_degree(e, d), MP.pres.max_relation_degree())
+    entries = groebner(MP.pres, need).entries()
+    if not reduce_by_entries(e * e - e, entries).is_zero():
         raise ValueError(_NOT_IDEMPOTENT)
     if e.is_zero():
         raise ValueError("the zero element is never a full idempotent")
-    entries = gb.entries()
 
     m = MP.pres.num_gens
     target = reduce_by_entries(NCPoly.one(MP.pres.field, m), entries)

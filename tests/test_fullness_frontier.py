@@ -22,7 +22,6 @@ from fpalg import (
     parse_presentation,
 )
 from fpalg import morita
-from fpalg.rewrite import reduce_by_entries
 from allwords_fullness import allwords_full_idempotent
 
 Q = FieldSpec(0)
@@ -116,13 +115,14 @@ class TestFrontierWork:
         MP = matrix_presentation(projector(), 2)
         e = MP.unit(1, 1) * MP.lift(0)
         calls = []
+        real = morita.matrix_normal_form
 
-        def counting(f, entries):
+        def counting(f, MP, base_gb):
             calls.append(1)
             assert len(calls) <= self.BOUND, "fullness search reduces too much"
-            return reduce_by_entries(f, entries)
+            return real(f, MP, base_gb)
 
-        monkeypatch.setattr(morita, "reduce_by_entries", counting)
+        monkeypatch.setattr(morita, "matrix_normal_form", counting)
         verdict = is_full_idempotent(e, MP, 6)
         assert str(verdict) == "unknown-at-6"
         assert verdict.bound == 6

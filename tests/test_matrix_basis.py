@@ -1,8 +1,10 @@
-"""The basis of M_n(B) written down from B's basis, against its completion.
+"""The matrix normal form of M_n(B) against the completed matrix presentation.
 
-morita._groebner_for completes the base B alone and builds the basis of the
-matrix presentation from B's basis.  groebner(MP.pres, need) stays the
-reference: the whole basis tuple and complete_to must be equal, for
+morita.matrix_normal_form completes the base B alone and reads an element
+as an n x n matrix over B.  groebner(MP.pres, need), the completion of the
+whole matrix presentation, stays the reference: normal forms of random
+polynomials and of products u*e*v of idempotents, filtered dimensions and
+the normal words behind corner fingerprints must agree with it, for
 n = 1..3 at three degrees each, over the golden inputs, random presentations
 over Q and Q(t1) (inhomogeneous ones included), random homogeneous
 quadratics and the edge bases.  A guard pins that a fullness search
@@ -11,19 +13,24 @@ completes one basis, on B's generators.
 
 import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
 from fpalg import (
+    DegreeBudgetError,
     FieldSpec,
+    NCPoly,
     Scalar,
+    filtered_dimension,
     is_full_idempotent,
     make_aalpha,
     matrix_presentation,
     parse_presentation,
 )
 from fpalg import morita, rewrite
-from randgen import random_homogeneous_quadratic, random_presentation
+from fpalg.rewrite import FactorAvoider, normal_form
+from randgen import random_homogeneous_quadratic, random_poly, random_presentation, random_word
 
 Q = FieldSpec(0)
 QT = FieldSpec(1)
@@ -57,36 +64,112 @@ def corpus():
 CORPUS = corpus()
 
 
+def cases(B):
+    """(MP, maxdeg, need) for n = 1..3 at the three degrees of each."""
+    for n in (1, 2, 3):
+        MP = matrix_presentation(B, n)
+        low = MP.pres.max_relation_degree()
+        for maxdeg in (low - 1, low + 1, low + 2):
+            yield MP, maxdeg, max(maxdeg, low)
+
+
+def idempotents(MP):
+    """The elements of the morita workload and their relatives: e11,
+    e11 + c*e12, e11 + e22, the non-idempotent e11 + 3*e22, and
+    e11 + c*e12*z1 over a base with generators."""
+    field = MP.pres.field
+    c = Scalar.from_fraction(field, Fraction(1, 3))
+    if field.num_generators:
+        t = Scalar.generator(field, 0)
+        c = (t + Scalar.one(field)) / (t - Scalar.from_int(field, 2))
+    e11 = MP.unit(1, 1)
+    yield e11
+    if MP.n >= 2:
+        yield e11 + MP.unit(1, 2).scale(c)
+        yield e11 + MP.unit(2, 2)
+        yield e11 + MP.unit(2, 2).scale(Scalar.from_int(field, 3))
+        if MP.base.num_gens:
+            yield e11 + (MP.unit(1, 2) * MP.lift(0)).scale(c)
+
+
 def test_corpus_covers_the_cases():
+    assert len(CORPUS) == 46
     inhomogeneous = [B for B in CORPUS.values() if not B.is_homogeneous()]
     assert {B.field for B in inhomogeneous} == {Q, QT}
     assert any(B.max_relation_degree() == 3 for B in CORPUS.values())
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
-def test_basis_equals_the_completion(name):
+def test_normal_form_equals_the_completion(name):
     B = CORPUS[name]
-    for n in (1, 2, 3):
-        MP = matrix_presentation(B, n)
-        low = MP.pres.max_relation_degree()
-        for maxdeg in (low - 1, low + 1, low + 2):
-            gb = morita._groebner_for(MP, maxdeg)
-            need = max(maxdeg, low)
-            ref = rewrite.groebner(MP.pres, need)
-            assert gb.basis == ref.basis, (n, maxdeg)
-            assert gb.complete_to == ref.complete_to == need
-            assert list(gb.entries()) == list(ref.entries())
+    rng = random.Random(name)
+    for MP, maxdeg, need in cases(B):
+        base_gb = morita._base_basis(MP, maxdeg)
+        ref = rewrite.groebner(MP.pres, need)
+        assert base_gb.complete_to == need
+        field, m = MP.pres.field, MP.pres.num_gens
+        polys = [random_poly(rng, field, m, need, n_terms=5) for _ in range(16)]
+        for e in idempotents(MP):
+            for _ in range(4):
+                room = need - e.degree()
+                u = random_word(rng, m, room)
+                polys.append(e.mul_word(u, random_word(rng, m, room - len(u))))
+        for f in polys:
+            expected = normal_form(f, ref)
+            assert expected.verified
+            assert morita.matrix_normal_form(f, MP, base_gb) == expected.poly, (MP.n, maxdeg, f)
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_basis_equals_the_completion(name):
+    # the normal words of each length are a linear basis of M_n(B) there;
+    # the filtered dimension counts them
+    B = CORPUS[name]
+    for MP, maxdeg, need in cases(B):
+        m = MP.pres.num_gens
+        base_gb = morita._base_basis(MP, maxdeg)
+        ref = FactorAvoider(m, rewrite.groebner(MP.pres, need).entries())
+        levels = morita._normal_words(MP, base_gb, need)
+        expected = ref.words_up_to(need)
+        assert [set(words) for words in levels] == [set(words) for words in expected]
+        assert [len(words) for words in levels] == [len(words) for words in expected]
+        d = need - 2
+        if d >= 2:
+            assert filtered_dimension(MP, d) == ref.count_up_to(d), (MP.n, d)
+
+
+@pytest.mark.parametrize("name", ["aalpha_t", "weyl", "zero-quotient", "no-generators"])
+def test_raises_above_need(name):
+    B = CORPUS[name]
+    for MP, maxdeg, need in cases(B):
+        base_gb = morita._base_basis(MP, maxdeg)
+        field, m = MP.pres.field, MP.pres.num_gens
+        at_need = NCPoly.monomial(field, m, (0,) * need)
+        morita.matrix_normal_form(at_need, MP, base_gb)
+        above = at_need + NCPoly.monomial(field, m, (m - 1,) * (need + 1))
+        with pytest.raises(DegreeBudgetError, match="exceeds verified degree"):
+            morita.matrix_normal_form(above, MP, base_gb)
 
 
 def test_full_completes_only_the_base(monkeypatch):
     calls = []
+    indexes = []
 
     def counting(P, maxdeg):
         calls.append(P.num_gens)
         return rewrite.groebner(P, maxdeg)
 
+    class RecordedIndex(rewrite.ReductionIndex):
+        def __init__(self, *args):
+            super().__init__(*args)
+            indexes.append(self)
+
     monkeypatch.setattr(morita, "groebner", counting)
+    monkeypatch.setattr(rewrite, "ReductionIndex", RecordedIndex)
     B = make_aalpha(Scalar.generator(QT, 0))
     MP = matrix_presentation(B, 3)
     assert is_full_idempotent(MP.unit(1, 1), MP, 2).full
     assert calls == [B.num_gens]
+    # the one index is B's completion's, over B's generators only
+    assert len(indexes) == 1
+    assert all(g < B.num_gens for lw, _ in indexes[0] for g in lw)

@@ -118,12 +118,13 @@ class TestCornerWork:
         gb = groebner(MP.pres, max(d + 2, MP.pres.max_relation_degree()))
         normal = FactorAvoider(MP.pres.num_gens, gb.entries()).count_up_to(d)
         calls = []
+        real = morita.matrix_normal_form
 
-        def counting(f, entries):
+        def counting(f, MP, base_gb):
             calls.append(1)
-            return reduce_by_entries(f, entries)
+            return real(f, MP, base_gb)
 
-        monkeypatch.setattr(morita, "reduce_by_entries", counting)
+        monkeypatch.setattr(morita, "matrix_normal_form", counting)
         corner_filtered_dims(e, MP, d)
         assert len(calls) <= 2 * normal + 2
         # the all-words loop would make one reduction per word at least
