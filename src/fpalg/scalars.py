@@ -18,7 +18,10 @@ Automorphisms are restricted to the invertible coefficient-field maps
 generated by generator permutations and per-generator affine maps
 t_i -> a*t_i + b with a != 0.  This class is closed under composition; every
 element has the shape t_i -> a_i * t_{pi(i)} + b_i for a permutation pi, and
-its inverse is stored explicitly.
+its inverse is stored explicitly.  apply_automorphism substitutes the images
+over the integers: it multiplies numerator and denominator by one integer
+that clears every denominator of the a_i and b_i, and Scalar._make reduces
+the pair to its canonical form.
 
 A finite-field scalar mode (ModScalar, odd prime modulus, no transcendentals)
 is provided for the exhaustive congruence search in the aalpha module.
@@ -460,7 +463,15 @@ def _affine_text(j, a, b):
 
 
 def apply_automorphism(sigma, a):
-    """Apply sigma to a scalar by substituting its generator images."""
+    """Apply sigma to a scalar by substituting its generator images.
+
+    The substitution runs over the integers.  With t_i -> a*t_j + b, a =
+    an/ad and b = bn/bd, let top_i be the largest exponent of t_i over the
+    numerator and the denominator.  A monomial's factor t_i^e becomes
+    (a*t_j + b)^e * (ad*bd)^top_i, whose coefficients are ints; so both
+    parts are multiplied by the same integer prod_i (ad*bd)^top_i, the
+    quotient is unchanged, and Scalar._make gives its one canonical pair.
+    """
     if not isinstance(a, Scalar):
         raise TypeError("apply_automorphism expects a Scalar")
     if sigma.field != a.field:
@@ -468,46 +479,60 @@ def apply_automorphism(sigma, a):
     k = sigma.field.num_generators
     if (type(a._num) is int and type(a._den) is int) or sigma.is_identity():
         return a  # constants are fixed by every automorphism
-    num = _substitute(a._num, sigma.forward, k)
-    den = _substitute(a._den, sigma.forward, k)
-    common = math.lcm(*(c.denominator for part in (num, den) for c in part.values()))
-    return Scalar._make(
-        a.field,
-        ZPoly(k, {m: int(c * common) for m, c in num.items()}),
-        ZPoly(k, {m: int(c * common) for m, c in den.items()}),
-    )
+    top = [0] * k
+    for part in a._polys():
+        for monomial in part:
+            for i, e in enumerate(monomial):
+                if e > top[i]:
+                    top[i] = e
+    images = [
+        (j, scale.numerator, scale.denominator, shift.numerator, shift.denominator)
+        for (j, scale, shift) in sigma.forward
+    ]
+    pads = [(ad * bd) ** e for (_, _, ad, _, bd), e in zip(images, top)]
+    expansions = {}
 
-
-def _substitute(part, forward, k):
-    """part with t_i -> a*t_j + b for each forward image (i, (j, a, b)), as a
-    dict from exponent tuple to nonzero Fraction."""
-    if type(part) is int:
-        return {(0,) * k: Fraction(part)}
-    out = {}
-    for monomial, coeff in part.items():
-        # the j are distinct, so the image of the monomial is a product of
-        # binomial expansions in separate generators
-        terms = [([0] * k, Fraction(coeff))]
-        for i, e in enumerate(monomial):
-            if not e:
-                continue
-            j, a, b = forward[i]
-            expansion = [
-                (m, math.comb(e, m) * a ** m * b ** (e - m))
+    def expansion(i, e):
+        # (a*t_j + b)^e * (ad*bd)^top_i as [(m, int coefficient of t_j^m)]
+        key = (i, e)
+        if key not in expansions:
+            _, an, ad, bn, bd = images[i]
+            pad = (ad * bd) ** (top[i] - e)
+            expansions[key] = [
+                (m, math.comb(e, m) * an ** m * bn ** (e - m) * ad ** (e - m) * bd ** m * pad)
                 for m in range(e + 1)
-                if b or m == e
+                if bn or m == e
             ]
-            grown = []
+        return expansions[key]
+
+    def substitute(part):
+        if type(part) is int:
+            return part * math.prod(pads)
+        out = {}
+        for monomial, coeff in part.items():
+            # the j are distinct, so the image of the monomial is a product
+            # of binomial expansions in separate generators
+            factors = []
+            for i, e in enumerate(monomial):
+                if e:
+                    factors.append((images[i][0], expansion(i, e)))
+                else:
+                    coeff *= pads[i]
+            terms = [([0] * k, coeff)]
+            for j, factor in factors:
+                grown = []
+                for exponents, c in terms:
+                    for m, cm in factor:
+                        image = exponents.copy()
+                        image[j] = m
+                        grown.append((image, c * cm))
+                terms = grown
             for exponents, c in terms:
-                for m, cm in expansion:
-                    image = exponents.copy()
-                    image[j] = m
-                    grown.append((image, c * cm))
-            terms = grown
-        for exponents, c in terms:
-            key = tuple(exponents)
-            out[key] = out.get(key, 0) + c
-    return {m: c for m, c in out.items() if c}
+                key = tuple(exponents)
+                out[key] = out.get(key, 0) + c
+        return ZPoly(k, {m: c for m, c in out.items() if c})
+
+    return Scalar._make(a.field, substitute(a._num), substitute(a._den))
 
 
 def compose(sigma, tau):

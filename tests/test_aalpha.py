@@ -253,28 +253,38 @@ class TestIso:
         assert iso_witness(q(1), q(3)) is None
 
     def test_recheck_agrees_with_a_fresh_completion(self):
-        # the generation half reads the basis the relation half completed,
-        # possibly deeper than 3; is_generating completes its own to 3
+        # the re-check completes to the relation degree 2 and goes to
+        # degree 3 only when the images of degree <= 1 do not span; the
+        # reference is the degree-3 verdict, with is_generating completing
+        # its own basis to 3
         t = Scalar.generator(QT, 0)
-        P = make_aalpha(t)
         x1, x2 = (NCPoly.gen(QT, 2, i) for i in range(2))
         zero = NCPoly.zero(QT, 2)
+        one = NCPoly.one(QT, 2)
+        c = t + Scalar.from_int(QT, 1)
         candidates = [
             (x1, x2), (x1, -x2), (x2, x1), (x1 + x2, x2), (x1, x1),
             (zero, zero), (x1 * x2, x2 * x1), (x1 * x1, x2), (x1 * x2 * x1, zero),
+            (x1 + one, x2), (x1.scale(c), x2.scale(c)),
+            (x1.scale(c), x2.scale(-c)), (x1.scale(c), x1.scale(c)),
         ]
+        minus_two = Scalar.from_int(QT, -2)
+        cases = [(t, beta, images) for beta in (t, -t, t + t) for images in candidates]
+        cases.append((minus_two, minus_two, (x1 * x2, x1 * x2)))
         verdicts = []
-        for beta in (t, -t, t + t):
-            relation = make_aalpha(beta).relations[0]
-            for images in candidates:
-                substituted = relation.substitute(list(images))
-                gb = groebner(P, max(3, substituted.degree()))
-                expected = normal_form(substituted, gb).poly.is_zero() and (
-                    is_generating(list(images), P, 3).generating
-                )
-                assert verify_iso_witness(t, beta, images) == expected, (beta, images)
-                verdicts.append(expected)
+        for alpha, beta, images in cases:
+            P = make_aalpha(alpha)
+            substituted = make_aalpha(beta).relations[0].substitute(list(images))
+            gb = groebner(P, max(3, substituted.degree()))
+            expected = normal_form(substituted, gb).poly.is_zero() and (
+                is_generating(list(images), P, 3).generating
+            )
+            assert verify_iso_witness(alpha, beta, images) == expected, (beta, images)
+            verdicts.append(expected)
         assert True in verdicts and False in verdicts
+        # (x1*x2, x1*x2) substitutes to 0 under alpha = beta = -2 but does
+        # not generate
+        assert verdicts[-1] is False
 
     def test_dimensions_cannot_separate_the_family(self):
         # every parameter gives the same graded dimensions; the separating

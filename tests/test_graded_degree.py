@@ -112,13 +112,32 @@ def test_membership_completes_to_what_the_verdict_sees(degrees):
 
 
 def test_iso_recheck_completes_once(degrees, monkeypatch):
-    # verify_iso_witness holds its own reference to groebner; the generation
-    # half of the re-check reads the basis the relation half completed
+    # verify_iso_witness holds its own reference to groebner; a passing
+    # witness is re-checked over the one basis the relation half completed,
+    # at the relation degree 2
     monkeypatch.setattr(aalpha, "groebner", rewrite.groebner)
     t = Scalar.generator(QT, 0)
     images = iso_witness(t, -t)
     assert verify_iso_witness(t, -t, images)
-    assert degrees == [3]
+    assert degrees == [2]
+
+
+def test_iso_recheck_completes_again_for_a_failing_witness(degrees, monkeypatch):
+    # (x1, x1) substitutes to 0 under beta = -2, so the relation half passes;
+    # its images do not span x2, and only then is the degree-3 basis completed
+    monkeypatch.setattr(aalpha, "groebner", rewrite.groebner)
+    t = Scalar.generator(QT, 0)
+    x1 = NCPoly.gen(QT, 2, 0)
+    assert not verify_iso_witness(t, Scalar.from_int(QT, -2), (x1, x1))
+    assert degrees == [2, 3]
+
+
+def test_iso_recheck_stops_at_the_relation_half(degrees, monkeypatch):
+    monkeypatch.setattr(aalpha, "groebner", rewrite.groebner)
+    t = Scalar.generator(QT, 0)
+    x1 = NCPoly.gen(QT, 2, 0)
+    assert not verify_iso_witness(t, -t, (x1, x1))
+    assert degrees == [2]
 
 
 # ---------------------------------------------------------------------------
