@@ -131,6 +131,6 @@ def is_over_subfield(P, r):
         raise ValueError("subfield size must be >= 0")
     for rel in P.relations:
         for _, coeff in rel.terms():
-            if any(idx >= r for idx in coeff.support_indices()):
+            if any(idx >= r for idx in coeff.support_traversal()):
                 return False
     return True

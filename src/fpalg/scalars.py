@@ -11,8 +11,8 @@ from exponent tuple to int) otherwise.  Over Q (k = 0) both parts are always
 ints reduced with math.gcd; over Q(t1..tk) the matrix-unit and commutation
 coefficients +-1 stay ints too, a polynomial part meets an int one through
 math.gcd on its content, and two polynomial parts meet through
-ZPoly.cofactors (the heuristic gcd GCDHEU with an exact fallback).  sympy is
-imported only by that fallback.
+ZPoly.cofactors (the heuristic gcd GCDHEU with an exact pseudo-remainder
+fallback).  Everything here uses the standard library only.
 
 Automorphisms are restricted to the invertible coefficient-field maps
 generated by generator permutations and per-generator affine maps
@@ -242,16 +242,6 @@ class Scalar:
 
     def _polys(self):
         return [p for p in (self._num, self._den) if type(p) is not int]
-
-    def support_indices(self):
-        """Set of generator indices occurring in numerator or denominator."""
-        out = set()
-        for poly in self._polys():
-            for monomial in poly.keys():
-                for i, e in enumerate(monomial):
-                    if e:
-                        out.add(i)
-        return frozenset(out)
 
     def support_traversal(self):
         """Generator indices in canonical visit order: numerator before

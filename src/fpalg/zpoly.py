@@ -16,14 +16,20 @@ base-xi digits, as are the two image cofactors.  A candidate is accepted
 only when it divides both operands exactly, and for xi >= 2*min(|f|, |g|) +
 2 (max-norms after the integer content is taken out) an accepted candidate
 is the gcd; the first xi here is 2*min(|f|, |g|) + 29.  After six
-evaluation points the heuristic gives up and an exact gcd takes over
-(sympy's dense ``dmp_inner_gcd``, imported on that path only).  The gcd is
-unique up to sign; Scalar fixes the sign of its parts itself.
+evaluation points the heuristic gives up and an exact gcd takes over: the
+contents in Z[t2..tk] (gcds of the t1-coefficients, one generator fewer,
+found the same way) are split off, and the primitive parts meet through
+their subresultant pseudo-remainder sequence in t1 (W. S. Brown, *On
+Euclid's algorithm and the computation of polynomial greatest common
+divisors*, J. ACM 18, 1971), whose exact divisions keep the coefficients
+small without a content gcd at every step.  The gcd is unique up to sign;
+Scalar fixes the sign of its parts itself.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 from operator import add, sub
 
 # evaluation points tried before the exact gcd takes over
@@ -314,10 +320,54 @@ def _exquo(f, h):
 
 
 def _exact_cofactors(f, g, k):
-    from sympy.polys.densebasic import dmp_from_dict, dmp_to_dict
-    from sympy.polys.domains import ZZ
-    from sympy.polys.euclidtools import dmp_inner_gcd
+    """(h, f/h, g/h) for nonzero f and g, by the subresultant
+    pseudo-remainder sequence in t1 of their primitive parts: h is the gcd
+    of the contents times the primitive part of the last nonzero remainder,
+    and both cofactors are exact quotients."""
+    content_f, a = _content(f, k)
+    content_g, b = _content(g, k)
+    if max(a)[0] < max(b)[0]:
+        a, b = b, a
+    lead = scale = ZPoly.constant(k, 1)
+    while True:
+        db = max(b)[0]
+        delta = max(a)[0] - db
+        r = _prem(a, b, k)
+        if not r:
+            break
+        # the remainder over lead * scale**delta is again in Z[t1..tk]
+        a, b = b, ZPoly(k, _exquo(r, lead * scale**delta))
+        lead = ZPoly(k, {(0,) + m[1:]: c for m, c in a.items() if m[0] == db})
+        if delta:
+            scale = ZPoly(k, _exquo(lead**delta, scale ** (delta - 1)))
+    content = _gcd(content_f, content_g, k - 1)
+    h = _content(b, k)[1] * ZPoly(k, {(0,) + m: c for m, c in content.items()})
+    cff, cfg = _exquo(f, h), _exquo(g, h)
+    if cff is None or cfg is None:
+        raise ArithmeticError("the pseudo-remainder gcd does not divide its operands")
+    return h, cff, cfg
 
-    u = k - 1
-    parts = dmp_inner_gcd(dmp_from_dict(dict(f), u, ZZ), dmp_from_dict(dict(g), u, ZZ), u, ZZ)
-    return tuple(dmp_to_dict(p, u) for p in parts)
+
+def _gcd(f, g, k):
+    return (_cofactors(f, g, k) or _exact_cofactors(f, g, k))[0]
+
+
+def _content(f, k):
+    """(c, f/c) for nonzero f: c is the gcd of the t1-coefficients of f, a
+    dict in t2..tk (keyed by () when k = 1), and f/c is a ZPoly."""
+    coeffs = {}
+    for m, c in f.items():
+        coeffs.setdefault(m[0], {})[m[1:]] = c
+    content = reduce(lambda a, b: _gcd(a, b, k - 1), coeffs.values())
+    return content, ZPoly(k, _exquo(f, {(0,) + m: c for m, c in content.items()}))
+
+
+def _prem(f, g, k):
+    """The pseudo-remainder lc(g)**(deg f - deg g + 1) * f mod g in t1, for
+    deg f >= deg g, where lc(g) in Z[t2..tk] leads g in t1."""
+    dg = max(g)[0]
+    lead_g = ZPoly(k, {(0,) + m[1:]: c for m, c in g.items() if m[0] == dg})
+    for d in range(max(f)[0], dg - 1, -1):
+        lead_f = ZPoly(k, {(d - dg,) + m[1:]: c for m, c in f.items() if m[0] == d})
+        f = f * lead_g - g * lead_f
+    return f

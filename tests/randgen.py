@@ -4,6 +4,7 @@ from fractions import Fraction
 
 from fpalg import (
     FieldAutomorphism,
+    FieldSpec,
     NCPoly,
     Presentation,
     Scalar,
@@ -64,6 +65,21 @@ def rich_scalar(rng, field, depth=3):
     if rhs.is_zero():
         rhs = Scalar.one(field)
     return lhs / rhs
+
+
+def gcd_heavy_pairs(rng):
+    """Scalar pairs in 1..4 generators whose quotient, product and sum meet
+    parts that share polynomial factors."""
+    for k in (1, 2, 3, 4):
+        field = FieldSpec(k)
+        t = [Scalar.generator(field, i) for i in range(k)]
+        one = Scalar.one(field)
+        shared = t[0] + t[-1] + one
+        yield shared * (t[0] - one), shared * (t[0] * t[-1] + one)
+        for _ in range(15):
+            a, b, c = (rich_scalar(rng, field, depth=2) for _ in range(3))
+            if b and c:
+                yield a * c + b, b * c
 
 
 def random_word(rng, num_gens, max_len, min_len=0):

@@ -172,7 +172,7 @@ print(json.dumps(loaded))
 
 
 def test_no_cli_verb_imports_sympy():
-    # sympy is needed only by the exact gcd fallback and the tests, never by a verb
+    # sympy is a test dependency only: no verb loads it
     assert {"Q", "Q(t1)"} <= {
         str(parse_presentation(p.read_text()).field)
         for p in (GOLDEN / "inputs").glob("*.alg")

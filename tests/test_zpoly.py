@@ -1,10 +1,12 @@
 """ZPoly, the part class of Scalar, against sympy's PolyElement for k = 1..4.
 
 Ring arithmetic (with ints on either side too), quo_ground and cofactors must
-give the terms sympy gives; the gcd may differ from sympy's only in sign.
+give the terms sympy gives; the gcd may differ from sympy's only in sign.  So
+must the exact gcd that takes over when GCDHEU gives up, called directly.
 """
 
 import random
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,7 +15,7 @@ from fpalg import FieldSpec, Scalar
 from fpalg import zpoly
 from fpalg.zpoly import ZPoly
 from poly_scalars import int_ring
-from randgen import rich_scalar
+from randgen import gcd_heavy_pairs
 
 
 def terms(k, max_size=5):
@@ -74,22 +76,64 @@ def test_cofactors_match_sympy(data):
     assert dict(h) == expected or dict(-h) == expected
 
 
-def _gcd_heavy_scalars(rng):
-    # quotients whose parts share polynomial factors, in 1..4 generators
-    for k in (1, 2, 3, 4):
-        field = FieldSpec(k)
-        t = [Scalar.generator(field, i) for i in range(k)]
-        one = Scalar.one(field)
-        shared = t[0] + t[-1] + one
-        yield shared * (t[0] - one), shared * (t[0] * t[-1] + one)
-        for _ in range(15):
-            a, b, c = (rich_scalar(rng, field, depth=2) for _ in range(3))
-            if b and c:
-                yield a * c + b, b * c
+def assert_gcd_matches_sympy(f, g, k):
+    h, cff, cfg = (ZPoly(k, p) for p in zpoly._exact_cofactors(f, g, k))
+    assert all(h.values()) and all(cff.values()) and all(cfg.values())
+    assert h * cff == f and h * cfg == g
+    R = int_ring(k)
+    expected = dict(R.from_dict(f).gcd(R.from_dict(g)))
+    assert dict(h) == expected or dict(-h) == expected
+    return h
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_exact_gcd_matches_sympy(data):
+    # the pseudo-remainder gcd called directly, on every shape of operand
+    k = data.draw(st.integers(1, 4))
+    nonzero = terms(k).filter(bool)
+    f, g = ZPoly(k, data.draw(nonzero)), ZPoly(k, data.draw(nonzero))
+    shape = data.draw(st.sampled_from(["any", "shared", "no t1", "integer", "one term"]))
+    if shape == "shared":  # a shared factor and a shared content
+        common = ZPoly(k, data.draw(terms(k, max_size=3))) or ZPoly.constant(k, 1)
+        content = data.draw(st.integers(1, 12))
+        f, g = f * common * content, g * common * content
+    elif shape == "no t1":
+        g = ZPoly(k, {(0,) + m[1:]: c for m, c in g.items()})
+    elif shape == "integer":  # gcd(f, f*g + 1) = 1, so the gcd is n
+        n = data.draw(st.integers(2, 12))
+        f, g = f * n, ((f * g + 1) or ZPoly.constant(k, 1)) * n
+    elif shape == "one term":
+        f = ZPoly(k, [max(f.items())])
+    # without evaluation points, every content gcd of two many-term
+    # operands recurses into the pseudo-remainder gcd one generator fewer
+    with mock.patch.object(zpoly, "HEU_GCD_MAX", data.draw(st.sampled_from([0, 6]))):
+        h = assert_gcd_matches_sympy(f, g, k)
+    if shape == "integer":
+        assert h == n or h == -n
+
+
+def test_exact_gcd_content_recursion_reaches_zero_generators(monkeypatch):
+    t1, t2, t3 = (Scalar.generator(FieldSpec(3), i)._num for i in range(3))
+    shared = t2 * t3 + t2 + 1
+    f = shared * (t3 + 2) * (t1 + t2)
+    g = shared * (t2 + 3) * (t1 - t3) * 2
+    ngens = []
+    cofactors = zpoly._cofactors
+
+    def counted(f, g, k):
+        ngens.append(k)
+        return cofactors(f, g, k)
+
+    monkeypatch.setattr(zpoly, "HEU_GCD_MAX", 0)
+    monkeypatch.setattr(zpoly, "_cofactors", counted)
+    h = assert_gcd_matches_sympy(f, g, 3)
+    assert h == shared or h == -shared
+    assert set(ngens) == {0, 1, 2}
 
 
 def test_exact_fallback_when_the_heuristic_gives_up(monkeypatch):
-    pairs = list(_gcd_heavy_scalars(random.Random(19)))
+    pairs = list(gcd_heavy_pairs(random.Random(19)))
     expected = [(a / b, a * b, a + b) for a, b in pairs]
     exact_calls = []
     exact = zpoly._exact_cofactors
