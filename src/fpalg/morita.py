@@ -15,21 +15,22 @@ search inserts u*e*v only when u*e*v extends, by one letter on either side,
 an insert that grew the span; it finds the certificate that inserting every
 u*e*v with |u| + |v| <= d finds (see is_full_idempotent for why).
 
-Every verdict here completes the base B alone, and no basis of M_n(B) is
-written down: matrix_normal_form reads an element as an n x n matrix over
-B, reduces each entry by B's basis and writes the matrix back in normal
-words (see its docstring for why that is the normal form a completed
-basis of M_n(B) gives).
+Every verdict here completes the base B alone, and neither a basis nor
+the relation list of M_n(B) is written down: a MatrixPresentation is the
+pair (B, n), and matrix_normal_form reads an element as an n x n matrix
+over B, reduces each entry by B's basis and writes the matrix back in
+normal words (see its docstring for why that is the normal form a
+completed basis of M_n(B) gives).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 
 from .freealg import NCPoly
 from .presentation import Presentation
 from .rewrite import FactorAvoider, Span, groebner, reduce_by_entries
-from .scalars import MismatchError, Scalar
+from .scalars import FieldSpec, MismatchError, Scalar
 
 
 class DegreeBudgetError(ValueError):
@@ -41,11 +42,64 @@ _NOT_IDEMPOTENT = "element is not an idempotent modulo the relations"
 
 @dataclass(frozen=True)
 class MatrixPresentation:
-    """Presentation of the n x n matrix algebra over a presented base."""
+    """The n x n matrix algebra M_n(B) over a presented base B: the pair (B, n).
+
+    Generator index (i - 1) * n + (j - 1) is the unit e_ij, and n^2 + k the
+    lift z_(k+1) of base generator k.  field and num_gens are stored once
+    here; pres, the relation list of M_n(B), is built on each read.
+    """
 
     base: Presentation
     n: int
-    pres: Presentation
+    field: FieldSpec = dc_field(init=False, compare=False)
+    num_gens: int = dc_field(init=False, compare=False)
+
+    def __post_init__(self):
+        if self.n < 1:
+            raise ValueError("matrix size must be >= 1")
+        object.__setattr__(self, "field", self.base.field)
+        object.__setattr__(self, "num_gens", self.n * self.n + self.base.num_gens)
+
+    @property
+    def generators(self):
+        n = self.n
+        names = [_unit_name(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)]
+        return tuple(names + [f"z{k + 1}" for k in range(self.base.num_gens)])
+
+    @property
+    def pres(self):
+        """The presentation of M_n(B), about n^4 relations, built on each read.
+
+        The unit relations e_ij*e_kl - delta_jk e_il, the unit sum
+        e_11 + ... + e_nn - 1, the commutations z*e_ij - e_ij*z for every
+        lift z, and the base relations with base generator k relabelled
+        z_(k+1).  No verdict reads it: only the matrix verb renders it, and
+        the tests complete it as the reference for matrix_normal_form.
+        """
+        n, field, total = self.n, self.field, self.num_gens
+        one = Scalar.one(field)
+        rows = range(1, n + 1)
+        units = [(i, j, self.unit_index(i, j)) for i in rows for j in rows]
+        relations = []
+        for i, j, a in units:
+            for k, l, b in units:
+                pairs = [((a, b), one)]
+                if j == k:
+                    pairs.append(((self.unit_index(i, l),), -one))
+                relations.append(NCPoly.from_terms(field, total, pairs))
+        pairs = [((self.unit_index(i, i),), one) for i in rows]
+        pairs.append(((), -one))
+        relations.append(NCPoly.from_terms(field, total, pairs))
+        for k in range(self.base.num_gens):
+            z = self.lift_index(k)
+            for _, _, u in units:
+                pairs = [((z, u), one), ((u, z), -one)]
+                relations.append(NCPoly.from_terms(field, total, pairs))
+        for rel in self.base.relations:
+            terms = {tuple(self.lift_index(g) for g in w): c for w, c in rel._terms.items()}
+            relations.append(NCPoly(field, total, terms))
+        name = f"M{n}_{self.base.name}"
+        return Presentation(field, self.generators, tuple(relations), name=name)
 
     def unit_index(self, i, j):
         """Generator index of e_ij (1-based matrix positions)."""
@@ -60,10 +114,10 @@ class MatrixPresentation:
         return self.n * self.n + k
 
     def unit(self, i, j):
-        return NCPoly.gen(self.pres.field, self.pres.num_gens, self.unit_index(i, j))
+        return NCPoly.gen(self.field, self.num_gens, self.unit_index(i, j))
 
     def lift(self, k):
-        return NCPoly.gen(self.pres.field, self.pres.num_gens, self.lift_index(k))
+        return NCPoly.gen(self.field, self.num_gens, self.lift_index(k))
 
 
 def _unit_name(i, j, n):
@@ -71,58 +125,8 @@ def _unit_name(i, j, n):
 
 
 def matrix_presentation(P, n):
-    """Build M_n over the base presentation P."""
-    if n < 1:
-        raise ValueError("matrix size must be >= 1")
-    field = P.field
-    names = [_unit_name(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)]
-    names += [f"z{k + 1}" for k in range(P.num_gens)]
-    total = len(names)
-    one = Scalar.one(field)
-
-    def unit_word(i, j):
-        return ((i - 1) * n + (j - 1),)
-
-    relations = []
-    # e_ij * e_kl - delta_jk * e_il
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            for k in range(1, n + 1):
-                for l in range(1, n + 1):
-                    pairs = [(unit_word(i, j) + unit_word(k, l), one)]
-                    if j == k:
-                        pairs.append((unit_word(i, l), -one))
-                    relations.append(NCPoly.from_terms(field, total, pairs))
-    # unit sum
-    pairs = [(unit_word(i, i), one) for i in range(1, n + 1)]
-    pairs.append(((), -one))
-    relations.append(NCPoly.from_terms(field, total, pairs))
-    # central lifts
-    for k in range(P.num_gens):
-        z = n * n + k
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                relations.append(
-                    NCPoly.from_terms(
-                        field,
-                        total,
-                        [((z,) + unit_word(i, j), one), (unit_word(i, j) + (z,), -one)],
-                    )
-                )
-    # base relations in the lifts: base generator k is relabelled z_(k+1)
-    relations.extend(_lifted(rel, n, total) for rel in P.relations)
-
-    pres = Presentation(
-        field, tuple(names), tuple(relations), name=f"M{n}_{P.name}"
-    )
-    return MatrixPresentation(P, n, pres)
-
-
-def _lifted(poly, n, total):
-    """A base polynomial in the lifts: base generator k becomes z_(k+1)."""
-    return NCPoly(
-        poly.field, total, {tuple(n * n + g for g in w): c for w, c in poly._terms.items()}
-    )
+    """M_n over the base presentation P; raises ValueError for n < 1."""
+    return MatrixPresentation(P, n)
 
 
 def _base_basis(MP, maxdeg):
@@ -204,7 +208,7 @@ def matrix_normal_form(f, MP, base_gb):
     the two.
     """
     need = base_gb.complete_to
-    field, n = MP.pres.field, MP.n
+    field, n = MP.field, MP.n
     nn = n * n
     diagonal = [k * (n + 1) for k in range(1, n)]  # e22 .. enn
     # unit index -> B-word -> coefficient: e11's index 0 holds x11, e_kk's
@@ -240,7 +244,7 @@ def matrix_normal_form(f, MP, base_gb):
         suffix = (unit,) if unit else ()
         for b, c in reduced._terms.items():
             out[tuple(nn + g for g in b) + suffix] = c
-    return NCPoly(field, MP.pres.num_gens, out)
+    return NCPoly(field, MP.num_gens, out)
 
 
 def filtered_dimension(MP, d):
@@ -266,7 +270,7 @@ def _basis_and_idempotency(e, MP, gbdeg):
     e*e - e has matrix normal form zero by it.  Fullness and corners ask
     for at least 2 deg e, so only verify_idempotent can run out of degree
     here."""
-    if e.field != MP.pres.field or e.num_gens != MP.pres.num_gens:
+    if e.field != MP.field or e.num_gens != MP.num_gens:
         raise MismatchError("element over a different context")
     base_gb = _base_basis(MP, gbdeg)
     probe = e * e - e
@@ -304,7 +308,7 @@ def _fullness_degree(e, d):
 def _certificate_residue(e, MP, certificate):
     """sum c * u*e*v - 1, zero modulo the relations exactly when the
     certificate is valid."""
-    acc = -NCPoly.one(MP.pres.field, MP.pres.num_gens)
+    acc = -NCPoly.one(MP.field, MP.num_gens)
     for (u, v), c in certificate:
         acc = acc + e.mul_word(u, v).scale(c)
     return acc
@@ -353,8 +357,8 @@ def is_full_idempotent(e, MP, d):
     if e.is_zero():
         raise ValueError("the zero element is never a full idempotent")
 
-    m = MP.pres.num_gens
-    target = matrix_normal_form(NCPoly.one(MP.pres.field, m), MP, base_gb)
+    m = MP.num_gens
+    target = matrix_normal_form(NCPoly.one(MP.field, m), MP, base_gb)
     span = Span()
     left = {(): matrix_normal_form(e, MP, base_gb)}  # u -> NF(u * e)
     frontier = [((), ())]

@@ -60,7 +60,7 @@ def idempotents(MP, base):
     e11 = MP.unit(1, 1)
     yield "e11", e11
     if MP.n >= 2:
-        for i, c in enumerate(conjugate_scalars(MP.pres.field)):
+        for i, c in enumerate(conjugate_scalars(MP.field)):
             yield f"e11+c{i}*e12", e11 + MP.unit(1, 2).scale(c)
             yield f"e11+c{i}*e21", e11 + MP.unit(2, 1).scale(c)
             if MP.base.num_gens:
@@ -100,7 +100,7 @@ class TestFrontierAgainstAllWords:
     @pytest.mark.parametrize("k", [2, -1, 3])
     def test_non_idempotent_rejected_alike(self, k):
         MP = matrix_presentation(bases()["A_t"], 2)
-        e = MP.unit(1, 1) + MP.unit(2, 2).scale(Scalar.from_int(MP.pres.field, k))
+        e = MP.unit(1, 1) + MP.unit(2, 2).scale(Scalar.from_int(MP.field, k))
         for search in (is_full_idempotent, allwords_full_idempotent):
             with pytest.raises(ValueError, match="not an idempotent"):
                 search(e, MP, 2)

@@ -1,10 +1,14 @@
+import contextlib
+import pathlib
 import random
+import signal
 
 import pytest
 
 from fpalg import (
     DegreeBudgetError,
     FieldSpec,
+    MatrixPresentation,
     MismatchError,
     NCPoly,
     Presentation,
@@ -16,6 +20,7 @@ from fpalg import (
     is_full_idempotent,
     make_aalpha,
     matrix_presentation,
+    parse_presentation,
     verify_fullness_certificate,
     twist,
     verify_idempotent,
@@ -26,6 +31,8 @@ from randgen import random_automorphism, random_homogeneous_quadratic
 
 Q = FieldSpec(0)
 QT = FieldSpec(1)
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+PROJECTOR = GOLDEN / "inputs" / "projector.alg"
 
 
 def rational_base():
@@ -38,18 +45,30 @@ def twist_matrix_commutes(P, n, sigma):
     return lhs == twist(matrix_presentation(P, n).pres, sigma)
 
 
+def assert_views_match_pres(B):
+    """field, num_gens and generators of M_n(B) are those of its pres."""
+    for n in (1, 2, 3, 10):
+        MP = matrix_presentation(B, n)
+        P = MP.pres
+        assert (MP.field, MP.num_gens, MP.generators) == (P.field, P.num_gens, P.generators)
+        assert MP == MatrixPresentation(B, n)
+        assert MP != MatrixPresentation(B, n + 1)
+
+
 class TestConstruction:
     def test_rational_base_n2_shape(self):
         MP = matrix_presentation(rational_base(), 2)
         assert MP.pres.generators == ("e11", "e12", "e21", "e22")
         # 16 unit relations plus the unit sum
         assert len(MP.pres.relations) == 17
+        assert_views_match_pres(rational_base())
 
     def test_free_base_adds_lift_and_commutations(self):
         P = Presentation(Q, ("x1",), ())
         MP = matrix_presentation(P, 2)
         assert MP.pres.generators == ("e11", "e12", "e21", "e22", "z1")
         assert len(MP.pres.relations) == 16 + 1 + 4
+        assert_views_match_pres(P)
 
     def test_unit_relation_values(self):
         MP = matrix_presentation(rational_base(), 2)
@@ -63,15 +82,19 @@ class TestConstruction:
         z1, z2 = MP.lift(0), MP.lift(1)
         lifted = z1 * z1 + z2 * z2 + (z1 * z2).scale(t)
         assert lifted in MP.pres.relations
+        assert_views_match_pres(make_aalpha(t))
 
     def test_base_without_generators_lifts_constant_relation(self):
         one = NCPoly.one(Q, 0)
         MP = matrix_presentation(Presentation(Q, (), (one,)), 2)
         assert MP.pres.relations[-1] == NCPoly.one(Q, 4)
+        assert_views_match_pres(Presentation(Q, (), (one,)))
 
     def test_size_validation(self):
         with pytest.raises(ValueError):
             matrix_presentation(rational_base(), 0)
+        with pytest.raises(ValueError):
+            MatrixPresentation(rational_base(), 0)
 
 
 class TestFilteredDimension:
@@ -158,13 +181,13 @@ class TestFullness:
         )
 
     def test_one_is_full_at_zero(self):
-        one = NCPoly.one(self.MP.pres.field, self.MP.pres.num_gens)
+        one = NCPoly.one(self.MP.field, self.MP.num_gens)
         verdict = is_full_idempotent(one, self.MP, 2)
         assert verdict.full
         assert verdict.bound == 0
 
     def test_zero_rejected(self):
-        zero = NCPoly.zero(self.MP.pres.field, self.MP.pres.num_gens)
+        zero = NCPoly.zero(self.MP.field, self.MP.num_gens)
         with pytest.raises(ValueError):
             is_full_idempotent(zero, self.MP, 2)
 
@@ -190,7 +213,7 @@ class TestFullness:
         real = morita._certificate_residue
 
         def off_by_one(e, MP, certificate):
-            return real(e, MP, certificate) + NCPoly.one(MP.pres.field, MP.pres.num_gens)
+            return real(e, MP, certificate) + NCPoly.one(MP.field, MP.num_gens)
 
         monkeypatch.setattr(morita, "_certificate_residue", off_by_one)
         with pytest.raises(ValueError, match="certificate"):
@@ -213,7 +236,7 @@ class TestFullness:
 class TestCorner:
     def test_identity_corner_equals_filtration(self):
         MP = matrix_presentation(rational_base(), 2)
-        one = NCPoly.one(MP.pres.field, MP.pres.num_gens)
+        one = NCPoly.one(MP.field, MP.num_gens)
         dims = corner_filtered_dims(one, MP, 4)
         for c in (2, 3, 4):
             assert dims[c] == filtered_dimension(MP, c)
@@ -256,3 +279,85 @@ class TestTwistCompatibility:
             sigma = random_automorphism(rng, field)
             n = rng.randint(1, 3)
             assert twist_matrix_commutes(P, n, sigma)
+
+
+class RelationListBuilt(Exception):
+    pass
+
+
+class WallBoundExceeded(Exception):
+    # not an OSError, as TimeoutError is, so cli.run does not turn it into exit 2
+    pass
+
+
+@contextlib.contextmanager
+def wall_bound(seconds):
+    """Raise WallBoundExceeded in the body once it has run for seconds."""
+
+    def expire(signum, frame):
+        raise WallBoundExceeded(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+class TestVerdictsOnBaseAndSize:
+    """Matrix verdicts read (B, n) alone; only `matrix` builds M_n(B)'s relations."""
+
+    def test_verdicts_build_no_relation_list(self, monkeypatch, capsys):
+        B = parse_presentation(PROJECTOR.read_text())
+        where = ["--n", "16", "--base", str(PROJECTOR)]
+        argvs = [
+            ["corner", *where, "--elem", "e1_1+3*e1_2", "--upto", "2"],
+            ["full", *where, "--elem", "e1_1+3*e1_2", "--maxdeg", "2"],
+            ["idem", *where, "--check", "e1_1+3*e1_2", "--maxdeg", "2"],
+        ]
+
+        def outputs():
+            MP = matrix_presentation(B, 16)
+            e = MP.unit(1, 1) + MP.unit(1, 2).scale(Scalar.from_int(B.field, 3))
+            library = (
+                corner_filtered_dims(e, MP, 2),
+                is_full_idempotent(e, MP, 2),
+                verify_idempotent(e, MP, 2),
+            )
+            return library, [(run(argv), capsys.readouterr()) for argv in argvs]
+
+        expected = outputs()
+        assert expected[0][1].full and expected[0][2]
+        assert [code for code, _ in expected[1]] == [0, 0, 0]
+
+        def no_presentation(*args, **kwargs):
+            raise RelationListBuilt
+
+        monkeypatch.setattr(morita, "Presentation", no_presentation)
+        assert outputs() == expected
+        # matrix renders through pres, so the patch reaches it
+        with pytest.raises(RelationListBuilt):
+            run(["matrix", "--n", "2"])
+        monkeypatch.undo()
+        assert run(["matrix", "--n", "2"]) == 0
+        assert capsys.readouterr().out == (GOLDEN / "matrix-n2.out").read_text()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["full", "--n", "1000", "--elem", "e1_1", "--maxdeg", "-1"],
+            ["idem", "--n", "1000", "--check", "e1_1", "--maxdeg", "-1"],
+            ["corner", "--n", "1000", "--elem", "e1_1", "--upto", "-1"],
+        ],
+        ids=["full", "idem", "corner"],
+    )
+    def test_negative_degree_at_large_n_exits_at_once(self, argv, capsys):
+        with wall_bound(5):
+            code = run(argv)
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "must be >= 0" in err
+        assert "Traceback" not in err

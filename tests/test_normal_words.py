@@ -44,7 +44,7 @@ def bases():
 def idempotents(MP, seed):
     """e11 and e11 + c*e12 at three seeded nonzero c."""
     rng = random.Random(seed)
-    field = MP.pres.field
+    field = MP.field
     yield MP.unit(1, 1)
     for _ in range(3):
         c = simple_scalar(rng, field, nonzero=True)
