@@ -37,13 +37,12 @@ def find_factor(word, factor):
 class NCPoly:
     """A noncommutative polynomial over F<x1,...,xm> with Scalar coefficients."""
 
-    __slots__ = ("field", "num_gens", "_terms", "_sorted")
+    __slots__ = ("field", "num_gens", "_terms")
 
     def __init__(self, field, num_gens, terms):
         self.field = field
         self.num_gens = num_gens
         self._terms = terms
-        self._sorted = None
 
     # -- construction -----------------------------------------------------
 
@@ -93,11 +92,7 @@ class NCPoly:
 
     def terms(self):
         """Term list in strictly descending deglex order."""
-        if self._sorted is None:
-            self._sorted = tuple(
-                sorted(self._terms.items(), key=lambda kv: descending_key(kv[0]))
-            )
-        return self._sorted
+        return tuple(sorted(self._terms.items(), key=lambda kv: descending_key(kv[0])))
 
     def support(self):
         return tuple(w for w, _ in self.terms())
@@ -118,10 +113,10 @@ class NCPoly:
     def leading_word(self):
         if not self._terms:
             raise ValueError("zero polynomial has no leading word")
-        return self.terms()[0][0]
+        return min(self._terms, key=descending_key)
 
     def leading_coeff(self):
-        return self.terms()[0][1]
+        return self._terms[self.leading_word()]
 
     def __eq__(self, other):
         if not isinstance(other, NCPoly):

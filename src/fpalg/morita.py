@@ -269,16 +269,11 @@ def _basis_and_idempotency(e, MP, gbdeg):
     """B's basis complete to gbdeg (or to the relations' degree) and whether
     e*e - e has matrix normal form zero by it.  Fullness and corners ask
     for at least 2 deg e, so only verify_idempotent can run out of degree
-    here."""
+    here, where matrix_normal_form raises DegreeBudgetError."""
     if e.field != MP.field or e.num_gens != MP.num_gens:
         raise MismatchError("element over a different context")
     base_gb = _base_basis(MP, gbdeg)
-    probe = e * e - e
-    if probe.degree() > base_gb.complete_to:
-        raise DegreeBudgetError(
-            f"degree {probe.degree()} of e*e - e exceeds verified degree {base_gb.complete_to}"
-        )
-    return base_gb, matrix_normal_form(probe, MP, base_gb).is_zero()
+    return base_gb, matrix_normal_form(e * e - e, MP, base_gb).is_zero()
 
 
 def verify_idempotent(e, MP, d):

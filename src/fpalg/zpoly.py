@@ -12,18 +12,17 @@ GCD algorithm based on integer GCD computation*, J. Symbolic Comput. 7,
 1989).  Both operands are evaluated at an integer xi in the first
 generator; the gcd of the images (integers, or polynomials in one generator
 fewer, found the same way) is read back as a polynomial from its balanced
-base-xi digits, as are the two image cofactors.  A candidate is accepted
-only when it divides both operands exactly, and for xi >= 2*min(|f|, |g|) +
-2 (max-norms after the integer content is taken out) an accepted candidate
-is the gcd; the first xi here is 2*min(|f|, |g|) + 29.  After six
-evaluation points the heuristic gives up and an exact gcd takes over: the
-contents in Z[t2..tk] (gcds of the t1-coefficients, one generator fewer,
-found the same way) are split off, and the primitive parts meet through
-their subresultant pseudo-remainder sequence in t1 (W. S. Brown, *On
-Euclid's algorithm and the computation of polynomial greatest common
-divisors*, J. ACM 18, 1971), whose exact divisions keep the coefficients
-small without a content gcd at every step.  The gcd is unique up to sign;
-Scalar fixes the sign of its parts itself.
+base-xi digits.  A candidate is accepted only when it divides both operands
+exactly, and for xi >= 2*min(|f|, |g|) + 2 (max-norms after the integer
+content is taken out) an accepted candidate is the gcd; the first xi here
+is 2*min(|f|, |g|) + 29.  After six evaluation points the heuristic gives
+up and an exact gcd takes over: the contents in Z[t2..tk] (gcds of the
+t1-coefficients, one generator fewer, found the same way) are split off,
+and the primitive parts meet through their subresultant pseudo-remainder
+sequence in t1 (W. S. Brown, *On Euclid's algorithm and the computation of
+polynomial greatest common divisors*, J. ACM 18, 1971), whose exact
+divisions keep the coefficients small without a content gcd at every step.
+The gcd is unique up to sign; Scalar fixes the sign of its parts itself.
 """
 
 from __future__ import annotations
@@ -210,7 +209,7 @@ def _heugcd(f, g, k):
             images = _cofactors(ff, gg, k - 1)
             if images is None:
                 return None
-            found = _certified(f, g, images, xi)
+            found = _certified(f, g, images[0], xi)
             if found is not None:
                 h, cff, cfg = found
                 if content != 1:
@@ -220,27 +219,14 @@ def _heugcd(f, g, k):
     return None
 
 
-def _certified(f, g, images, xi):
-    """The gcd and cofactors read off the (nonzero) images at xi, through
-    whichever of h, f/h or g/h interpolates to an exact divisor, or None."""
-    hh, cf, cg = images
+def _certified(f, g, hh, xi):
+    """(h, f/h, g/h) with h the primitive part of the gcd image hh read back
+    from xi, when h divides both f and g exactly, or None."""
     h = _primitive(_interpolate(hh, xi))
     cff = _exquo(f, h)
     if cff is not None:
         cfg = _exquo(g, h)
         if cfg is not None:
-            return h, cff, cfg
-    cff = _interpolate(cf, xi)
-    h = _exquo(f, cff)
-    if h is not None:
-        cfg = _exquo(g, h)
-        if cfg is not None:
-            return h, cff, cfg
-    cfg = _interpolate(cg, xi)
-    h = _exquo(g, cfg)
-    if h is not None:
-        cff = _exquo(f, h)
-        if cff is not None:
             return h, cff, cfg
     return None
 

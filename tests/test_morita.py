@@ -192,8 +192,9 @@ class TestFullness:
             is_full_idempotent(zero, self.MP, 2)
 
     def test_non_idempotent_rejected(self):
-        with pytest.raises(ValueError):
-            is_full_idempotent(self.MP.unit(1, 2), self.MP, 2)
+        for verdict in (is_full_idempotent, corner_filtered_dims):
+            with pytest.raises(ValueError, match="not an idempotent"):
+                verdict(self.MP.unit(1, 2), self.MP, 2)
 
     def test_certificates_reverify_over_quadratic_base(self):
         t = Scalar.generator(QT, 0)

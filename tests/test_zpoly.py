@@ -155,3 +155,25 @@ def test_exact_fallback_when_the_heuristic_gives_up(monkeypatch):
     h, cff, cfg = f.cofactors(g)
     assert h * cff == f and h * cfg == g
     assert h == t - u or h == u - t
+
+
+def test_rejected_evaluation_point_moves_on_to_the_next(monkeypatch):
+    # the first xi's gcd image does not read back to a divisor, so the
+    # candidate is rejected and the second xi finds the gcd
+    f = ZPoly(1, {(1,): -4, (0,): -2})
+    g = ZPoly(1, {(2,): 3, (1,): 2, (0,): -6})
+    calls = []
+    certified = zpoly._certified
+
+    def counted(*args):
+        found = certified(*args)
+        calls.append(found is not None)
+        return found
+
+    monkeypatch.setattr(zpoly, "_certified", counted)
+    h, cff, cfg = f.cofactors(g)
+    assert calls == [False, True]
+    assert h * cff == f and h * cfg == g
+    R = int_ring(1)
+    expected = dict(R.from_dict(f).gcd(R.from_dict(g)))
+    assert dict(h) == expected or dict(-h) == expected
