@@ -339,32 +339,34 @@ def _cmd_matrix(args):
 
 
 def _matrix_element(args, text):
-    """M_n over the base of args, and text parsed as one of its elements."""
+    """M_n over the base of args, text parsed as one of its elements, and
+    the generator names it was parsed with."""
     MP = matrix_presentation(_load_base(args), args.n)
-    return MP, parse_poly(text, MP.field, MP.generators)
+    names = MP.generators
+    return MP, parse_poly(text, MP.field, names), names
 
 
 def _cmd_idem(args):
-    MP, e = _matrix_element(args, args.check)
+    MP, e, _ = _matrix_element(args, args.check)
     ok = verify_idempotent(e, MP, args.maxdeg)
     line = "idempotent" if ok else f"not-idempotent (tested to degree {args.maxdeg})"
     return 0, {"idempotent": ok, "bound": args.maxdeg}, [line]
 
 
 def _cmd_full(args):
-    MP, e = _matrix_element(args, args.elem)
+    MP, e, names = _matrix_element(args, args.elem)
     # a full verdict comes back only once its certificate reduced to zero
     verdict = is_full_idempotent(e, MP, args.maxdeg)
     if not verdict.full:
         return UNDECIDED, {"full": False, "bound": verdict.bound}, [str(verdict)]
-    text = _certificate_text(verdict.certificate, MP.generators)
+    text = _certificate_text(verdict.certificate, names)
     payload = {"full": True, "bound": verdict.bound, "certificate": text, "reverified": True}
     lines = [f"full at {verdict.bound}", f"certificate: {text}", "re-verified: ok"]
     return 0, payload, lines
 
 
 def _cmd_corner(args):
-    MP, e = _matrix_element(args, args.elem)
+    MP, e, _ = _matrix_element(args, args.elem)
     dims = corner_filtered_dims(e, MP, args.upto)
     return 0, {"dims": dims}, [f"{c} {dim}" for c, dim in enumerate(dims)]
 

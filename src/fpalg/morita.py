@@ -17,10 +17,18 @@ u*e*v with |u| + |v| <= d finds (see is_full_idempotent for why).
 
 Every verdict here completes the base B alone, and neither a basis nor
 the relation list of M_n(B) is written down: a MatrixPresentation is the
-pair (B, n), and matrix_normal_form reads an element as an n x n matrix
-over B, reduces each entry by B's basis and writes the matrix back in
-normal words (see its docstring for why that is the normal form a
-completed basis of M_n(B) gives).
+pair (B, n).  _matrix reads an element as an n x n matrix over B and
+reduces each entry by B's basis; its guard is on the base degree, the
+number of lifts in a word, since only the entries are reduced.
+matrix_normal_form writes that matrix back in normal words (see its
+docstring for why that is the normal form a completed basis of M_n(B)
+gives).  Corners and fullness never write back: they walk e*w and u*e*v
+as matrices over B, where a unit letter moves a row or a column and a
+lift letter multiplies each entry by its generator and reduces it.
+Corners of a homogeneous B complete B only to max(d + 2*zdeg(e), maximal
+relation degree), zdeg(e) the most lifts in a word of e, since every
+entry they reduce lies within that degree and a homogeneous basis gives
+there the normal forms any deeper one gives (see _corner_basis).
 """
 
 from __future__ import annotations
@@ -138,22 +146,70 @@ def _base_basis(MP, maxdeg):
     return groebner(B, max(maxdeg, 2, B.max_relation_degree()))
 
 
+def _reduced(matrix, MP, base_gb):
+    """Each entry of {unit index: {B-word: coefficient}} reduced by B's
+    basis, as {unit index: B-normal NCPoly} with the zero entries left out.
+    Every reduction of the matrix walk goes through here."""
+    field, k, index = MP.field, MP.base.num_gens, base_gb.entries()
+    out = {}
+    for unit, terms in matrix.items():
+        entry = reduce_by_entries(NCPoly(field, k, terms), index)
+        if entry._terms:
+            out[unit] = entry
+    return out
+
+
+def _matrix(f, MP, base_gb):
+    """f as an n x n matrix over B: {unit index of E_ij: NF(x_ij)}.
+
+    A word of f is its lifts, read as a word b of B since they are central,
+    times the product of its units in order, which is 0, the identity or
+    one E_ij.  Summing c * b into the entries gives f = sum x_ij E_ij, the
+    identity adding to every diagonal entry, and each x_ij is reduced by
+    B's basis.  NF is unique only up to base_gb.complete_to, so the base
+    degree |b| of a word may not pass it.
+    """
+    need = base_gb.complete_to
+    n = MP.n
+    nn = n * n
+    diagonal = range(0, nn, n + 1)
+    matrix = {}
+    for w, c in f._terms.items():
+        unit = -1  # the identity until a unit comes
+        b = []
+        for g in w:
+            if g >= nn:
+                b.append(g - nn)
+            elif unit < 0:
+                unit = g
+            elif unit % n == g // n:
+                unit += g % n - unit % n  # E_(r,s) E_(s,j) = E_(r,j)
+            else:
+                break  # E_(r,s) E_ij = 0 for i != s
+        else:
+            if len(b) > need:
+                raise DegreeBudgetError(f"base degree {len(b)} exceeds verified degree {need}")
+            b = tuple(b)
+            for key in diagonal if unit < 0 else (unit,):
+                entry = matrix.setdefault(key, {})
+                entry[b] = entry[b] + c if b in entry else c
+    return _reduced(matrix, MP, base_gb)
+
+
 def matrix_normal_form(f, MP, base_gb):
     """The normal form of f in M_n(B), read off an n x n matrix over B.
 
     base_gb is B's basis from _base_basis, complete to need; the normal form
     is the one a basis of M_n(B) complete to need gives, and f may not be of
-    higher degree, where that one is not unique.  A word of f is its lifts,
-    read as a word b of B since they are central, times the product of its
-    units in order, which is 0, the identity or one E_ij.  Summing c * b
-    into the matrix entries gives f = sum x_ij E_ij, and the normal form is
+    higher degree, where that one is not unique.  _matrix reads f as
+    f = sum x_ij E_ij with each x_ij reduced by B's basis, and the normal
+    form writes that matrix back as
 
-        NF(x11) * 1 + sum_{k>=2} NF(x_kk - x11) * e_kk
+        NF(x11) * 1 + sum_{k>=2} (NF(x_kk) - NF(x11)) * e_kk
                     + sum_{i != j} NF(x_ij) * e_ij,
 
-    each NF by B's basis and each B-word written back in the lifts, before
-    the unit.  It is 0 when B's basis holds a constant, which reduces every
-    entry to 0.
+    each B-word written back in the lifts, before the unit.  It is 0 when
+    B's basis holds a constant, which reduces every entry to 0.
 
     Why that is the normal form.  The reduced basis of M_n(B) complete to
     need, in deglex with the units before the lifts and e11 first, is:
@@ -199,52 +255,30 @@ def matrix_normal_form(f, MP, base_gb):
     By Bergman's diamond lemma (Adv. Math. 29, 1978), truncated at need,
     this reduced set is a basis complete to need, and every way of
     reducing f by it ends at the same normal polynomial.  Moving each unit
-    right past the lifts, multiplying the units out, rewriting E_11 and
-    reducing each entry's B-words by B's rules is one such way, and it
-    never passes degree need; so the matrix above is that normal form.
-    Since the mixed overlaps resolve at every degree, the basis resolves
-    all of its overlaps exactly when B's basis does.  Completing the whole
-    matrix presentation to need stays the reference, and the tests compare
-    the two.
+    right past the lifts, multiplying the units out, reducing each entry's
+    B-words by B's rules and rewriting E_11 is one such way, and it never
+    passes degree need; so the matrix above is that normal form.  Since
+    the mixed overlaps resolve at every degree, the basis resolves all of
+    its overlaps exactly when B's basis does.  Completing the whole matrix
+    presentation to need stays the reference, and the tests compare the
+    two.
     """
     need = base_gb.complete_to
-    field, n = MP.field, MP.n
+    if f.degree() > need:
+        raise DegreeBudgetError(f"degree {f.degree()} exceeds verified degree {need}")
+    n = MP.n
     nn = n * n
-    diagonal = [k * (n + 1) for k in range(1, n)]  # e22 .. enn
-    # unit index -> B-word -> coefficient: e11's index 0 holds x11, e_kk's
-    # holds x_kk - x11, and the identity adds to index 0 alone
-    matrix = {}
-    for w, c in f._terms.items():
-        if len(w) > need:
-            raise DegreeBudgetError(f"degree {f.degree()} exceeds verified degree {need}")
-        unit = -1  # the identity until a unit comes
-        b = []
-        for g in w:
-            if g >= nn:
-                b.append(g - nn)
-            elif unit < 0:
-                unit = g
-            elif unit % n == g // n:
-                unit += g % n - unit % n  # E_(r,s) E_(s,j) = E_(r,j)
-            else:
-                break  # E_(r,s) E_ij = 0 for i != s
-        else:
-            b = tuple(b)
-            targets = [(max(unit, 0), c)]
-            if unit == 0:  # E_11 = I - E_22 - ... - E_nn
-                targets += [(k, -c) for k in diagonal]
-            for key, coeff in targets:
-                entry = matrix.setdefault(key, {})
-                entry[b] = entry[b] + coeff if b in entry else coeff
-
-    index = base_gb.entries()
-    out = {}
-    for unit, terms in matrix.items():
-        reduced = reduce_by_entries(NCPoly._make(field, MP.base.num_gens, terms), index)
-        suffix = (unit,) if unit else ()
-        for b, c in reduced._terms.items():
-            out[tuple(nn + g for g in b) + suffix] = c
-    return NCPoly(field, MP.num_gens, out)
+    matrix = _matrix(f, MP, base_gb)
+    zero = NCPoly.zero(MP.field, MP.base.num_gens)
+    first = matrix.get(0, zero)
+    for k in range(n + 1, nn, n + 1):  # e22 .. enn
+        matrix[k] = matrix.get(k, zero) - first
+    out = {tuple(nn + g for g in b): c for b, c in first._terms.items()}
+    for unit, entry in matrix.items():
+        if unit:
+            for b, c in entry._terms.items():
+                out[tuple(nn + g for g in b) + (unit,)] = c
+    return NCPoly(MP.field, MP.num_gens, out)
 
 
 def filtered_dimension(MP, d):
@@ -265,22 +299,91 @@ def filtered_dimension(MP, d):
     return sum(counts) + (MP.n * MP.n - 1) * sum(counts[:d])
 
 
-def _basis_and_idempotency(e, MP, gbdeg):
-    """B's basis complete to gbdeg (or to the relations' degree) and whether
-    e*e - e has matrix normal form zero by it.  Fullness and corners ask
-    for at least 2 deg e, so only verify_idempotent can run out of degree
-    here, where matrix_normal_form raises DegreeBudgetError."""
+def _check_context(e, MP):
     if e.field != MP.field or e.num_gens != MP.num_gens:
         raise MismatchError("element over a different context")
-    base_gb = _base_basis(MP, gbdeg)
-    return base_gb, matrix_normal_form(e * e - e, MP, base_gb).is_zero()
 
 
 def verify_idempotent(e, MP, d):
-    """Exact check of e^2 = e modulo the relations, within the degree budget."""
+    """Exact check of e^2 = e modulo the relations, within the degree budget:
+    matrix_normal_form raises DegreeBudgetError when e*e - e has degree
+    above max(d, 2, maximal relation degree of B)."""
     if d < 0:
         raise ValueError("idempotent degree must be >= 0")
-    return _basis_and_idempotency(e, MP, d)[1]
+    _check_context(e, MP)
+    return matrix_normal_form(e * e - e, MP, _base_basis(MP, d)).is_zero()
+
+
+# -- the matrix walk ---------------------------------------------------------
+# Corners and fullness carry u*e*v as a matrix over B, {unit index: B-normal
+# NCPoly} as _matrix gives, and never write it back in normal words.  Each
+# step is exact up to the basis's degree, where NF is linear and
+# NF(NF(x) * y) = NF(x * y).
+
+
+def _times_letter(X, g, MP, base_gb, left):
+    """g * X (left) or X * g for a letter g of M_n(B).  A unit e_ab moves
+    row b to row a, or column a to column b, and reduces nothing; a lift
+    z_k multiplies every entry by x_k, on the same side, and reduces it."""
+    n = MP.n
+    nn = n * n
+    if g >= nn:
+        k = (g - nn,)
+        return _reduced(
+            {
+                u: {k + b if left else b + k: c for b, c in x._terms.items()}
+                for u, x in X.items()
+            },
+            MP,
+            base_gb,
+        )
+    a, b = divmod(g, n)
+    if left:
+        return {a * n + u % n: x for u, x in X.items() if u // n == b}
+    return {u - a + b: x for u, x in X.items() if u % n == a}
+
+
+def _product(X, Y, MP, base_gb):
+    """X * Y: (XY)_ij = sum_l X_il Y_lj, reduced entry by entry."""
+    n = MP.n
+    acc = {}
+    for u, x in X.items():
+        i, l = divmod(u, n)
+        for v, y in Y.items():
+            if v // n != l:
+                continue
+            entry = acc.setdefault(i * n + v % n, {})
+            for b1, c1 in x._terms.items():
+                for b2, c2 in y._terms.items():
+                    w = b1 + b2
+                    c = c1 * c2
+                    entry[w] = entry[w] + c if w in entry else c
+    return _reduced(acc, MP, base_gb)
+
+
+def _span_vector(X, MP):
+    """The matrix X as the polynomial sum lift(x_ij) * e_ij, the vector a
+    Span holds.  Reading f as this matrix is linear and one-to-one, so
+    ranks, pivots' combinations and Span.express answer as they would on
+    normal forms."""
+    nn = MP.n * MP.n
+    return NCPoly(
+        MP.field,
+        MP.num_gens,
+        {
+            tuple(nn + g for g in b) + (u,): c
+            for u, x in X.items()
+            for b, c in x._terms.items()
+        },
+    )
+
+
+def _idempotent_matrix(e, MP, base_gb):
+    """e as a matrix over B, once e*e = e there; raises ValueError if not."""
+    E = _matrix(e, MP, base_gb)
+    if _product(E, E, MP, base_gb) != E:
+        raise ValueError(_NOT_IDEMPOTENT)
+    return E
 
 
 @dataclass(frozen=True)
@@ -313,9 +416,9 @@ def is_full_idempotent(e, MP, d):
     """Search for 1 in the span of normal forms of u*e*v, |u| + |v| <= d.
 
     Returns a certificate combination when found, after checking that its
-    residue sum c * u*e*v - 1 reduces to zero by the basis of the search;
-    otherwise the verdict is unknown at this bound, since non-fullness is
-    not certifiable by a bounded search.
+    residue sum c * u*e*v - 1, rebuilt as a polynomial, reduces to zero by
+    the basis of the search; otherwise the verdict is unknown at this
+    bound, since non-fullness is not certifiable by a bounded search.
 
     The search walks the rank-growing frontier.  A tag (u, v) stands for
     the insert NF(u*e*v); tags are inserted by total length |u| + |v|, and
@@ -343,42 +446,48 @@ def is_full_idempotent(e, MP, d):
       tags that holds every rank-growing one, so each pivot and its
       combination are the ones the all-words loop finds, and so is every
       certificate.
+
+    Each insert is the matrix over B of a tag that grew the rank, times
+    one letter on the side where the insert extends it: one reduction of
+    the entries for a lift, none for a unit.  The Span holds each as
+    _span_vector, which is linear and one-to-one on normal forms: the
+    inserts that grow the rank are the same, and Span.express writes the
+    target in them with the one combination there is, since they are
+    linearly independent.
     """
     if d < 0:
         raise ValueError("fullness degree must be >= 0")
-    base_gb, idempotent = _basis_and_idempotency(e, MP, _fullness_degree(e, d))
-    if not idempotent:
-        raise ValueError(_NOT_IDEMPOTENT)
+    _check_context(e, MP)
+    base_gb = _base_basis(MP, _fullness_degree(e, d))
+    E = _idempotent_matrix(e, MP, base_gb)
     if e.is_zero():
         raise ValueError("the zero element is never a full idempotent")
 
     m = MP.num_gens
-    target = matrix_normal_form(NCPoly.one(MP.field, m), MP, base_gb)
+    target = _span_vector(_matrix(NCPoly.one(MP.field, m), MP, base_gb), MP)
     span = Span()
-    left = {(): matrix_normal_form(e, MP, base_gb)}  # u -> NF(u * e)
-    frontier = [((), ())]
+    frontier = {((), ()): E}  # tag (u, v) -> u*e*v as a matrix over B
     for total in range(d + 1):
         grown = []
-        for u, v in frontier:
-            # every u here is x*u' or u' for a tag (u', v') inserted before,
-            # so u[1:] is always cached
-            if u not in left:
-                left[u] = matrix_normal_form(left[u[1:]].mul_word(u[:1], ()), MP, base_gb)
-            vec = matrix_normal_form(left[u].mul_word((), v), MP, base_gb)
-            if span.add(vec, (u, v)):
-                grown.append((u, v))
+        for tag in sorted(frontier, key=lambda tag: (len(tag[0]), tag)):
+            if span.add(_span_vector(frontier[tag], MP), tag):
+                grown.append((tag, frontier[tag]))
         combo = span.express(target)
         if combo is not None:
             certificate = tuple(
                 sorted(combo.items(), key=lambda kv: (len(kv[0][0]) + len(kv[0][1]), kv[0]))
             )
-            residue = _certificate_residue(e, MP, certificate)
-            if not matrix_normal_form(residue, MP, base_gb).is_zero():
+            if _matrix(_certificate_residue(e, MP, certificate), MP, base_gb):
                 raise ValueError("fullness certificate does not reduce to zero")
             return FullnessVerdict(True, total, certificate)
-        extended = {((x,) + u, v) for u, v in grown for x in range(m)}
-        extended |= {(u, v + (x,)) for u, v in grown for x in range(m)}
-        frontier = sorted(extended, key=lambda tag: (len(tag[0]), tag))
+        if total == d:
+            break
+        frontier = {}
+        for (u, v), X in grown:
+            for x in range(m):
+                for tag, left in ((((x,) + u, v), True), ((u, v + (x,)), False)):
+                    if tag not in frontier:
+                        frontier[tag] = _times_letter(X, x, MP, base_gb, left)
     return FullnessVerdict(False, d)
 
 
@@ -392,7 +501,7 @@ def verify_fullness_certificate(e, MP, certificate, d):
     """
     acc = _certificate_residue(e, MP, certificate)
     base_gb = _base_basis(MP, max(_fullness_degree(e, d), acc.degree()))
-    return matrix_normal_form(acc, MP, base_gb).is_zero()
+    return not _matrix(acc, MP, base_gb)
 
 
 def _normal_words(MP, base_gb, d):
@@ -412,36 +521,61 @@ def _normal_words(MP, base_gb, d):
     ]
 
 
+def _corner_basis(e, MP, d):
+    """B's basis for the corners of e to depth d.
+
+    Every product the walk reduces is an entry of e*w*e with |w| <= d, of
+    base degree at most d + 2*zdeg(e), zdeg(e) the most lifts in a word of
+    e.  When B is homogeneous, its basis complete to D is the part of
+    degree <= D of the full reduced basis, so below D it gives the normal
+    forms that any deeper basis gives (the argument hilbert_series and
+    ideal_membership rely on): D = max(d + 2*zdeg(e), maximal relation
+    degree of B) is exact.  Otherwise the basis is the one the normal forms
+    of M_n(B) up to degree max(d + 2*deg e, 2*deg e) need.
+    """
+    B = MP.base
+    if B.is_homogeneous():
+        nn = MP.n * MP.n
+        zdeg = max((sum(g >= nn for g in w) for w in e._terms), default=0)
+        return groebner(B, max(d + 2 * zdeg, B.max_relation_degree()))
+    edeg = max(e.degree(), 1)
+    return _base_basis(MP, max(d + 2 * edeg, 2 * edeg))
+
+
 def corner_filtered_dims(e, MP, d):
     """Span dimensions of normal forms of e*w*e for |w| <= c, c = 0..d.
 
     Only normal words w are inserted, and that loses nothing.  The basis is
-    complete to gbdeg = max(d + 2*deg e, 2*deg e).  Every word w with
+    complete to gbdeg >= d + 2*zdeg(e) (_corner_basis).  Every word w with
     |w| <= c equals NF(w) plus a sum of terms a*g*b with g in the basis and
     deg(a*g*b) <= |w|, and NF(w) is a combination of normal words of length
-    <= |w|.  Each e*(a*g*b)*e has degree at most gbdeg, and the truncated
-    basis is confluent up to gbdeg, so NF is linear there and sends those
-    terms to zero.  Hence NF(e*w*e) lies in the span of NF(e*w'*e) over
-    normal w' with |w'| <= |w|, and the span at every c, so every dim, is
-    the one over all words.  The normal words come from _normal_words, and
-    the order they are inserted in does not change a span.  Each one's
-    prefix w[:-1] is a normal word one shorter, so the prefix cache always
-    holds it.
+    <= |w|.  The entries of each e*(a*g*b)*e have base degree at most
+    gbdeg, and the truncated basis is confluent up to gbdeg, so NF is
+    linear there and sends those terms to zero.  Hence NF(e*w*e) lies in
+    the span of NF(e*w'*e) over normal w' with |w'| <= |w|, and the span at
+    every c, so every dim, is the one over all words.  The normal words
+    come from _normal_words, and the order they are inserted in does not
+    change a span.
+
+    The walk keeps e*w as a matrix over B for each normal word w; its
+    prefix w[:-1] is a normal word one shorter, so e*w is that prefix's
+    matrix times the letter w[-1].  The insert is the product with e's
+    matrix, reduced entry by entry, as _span_vector: linear and one-to-one
+    on normal forms, so every rank is the one over normal forms.
     """
     if d < 0:
         raise ValueError("corner degree must be >= 0")
-    edeg = max(e.degree(), 1)
-    base_gb, idempotent = _basis_and_idempotency(e, MP, max(d + 2 * edeg, 2 * edeg))
-    if not idempotent:
-        raise ValueError(_NOT_IDEMPOTENT)
+    _check_context(e, MP)
+    base_gb = _corner_basis(e, MP, d)
+    E = _idempotent_matrix(e, MP, base_gb)
 
     span = Span()
     dims = []
-    left = {(): matrix_normal_form(e, MP, base_gb)}  # w -> NF(e * w)
+    left = {(): E}  # w -> e*w as a matrix over B
     for words in _normal_words(MP, base_gb, d):
         for w in words:
             if w not in left:
-                left[w] = matrix_normal_form(left[w[:-1]].mul_word((), w[-1:]), MP, base_gb)
-            span.add(matrix_normal_form(left[w] * e, MP, base_gb))
+                left[w] = _times_letter(left[w[:-1]], w[-1], MP, base_gb, False)
+            span.add(_span_vector(_product(left[w], E, MP, base_gb), MP))
         dims.append(len(span))
     return dims

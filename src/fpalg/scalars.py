@@ -33,6 +33,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .zpoly import ZPoly
 
@@ -366,6 +367,22 @@ class FieldAutomorphism:
     forward: tuple
     backward: tuple
 
+    # Read once per automorphism, at its first application: most that are
+    # built are steps of a composition and never applied.
+    @cached_property
+    def fixes_all(self):
+        """Whether every generator is its own image."""
+        return all(j == i and a == 1 and b == 0 for i, (j, a, b) in enumerate(self.forward))
+
+    @cached_property
+    def int_images(self):
+        """The forward images as integer parts (j, an, ad, bn, bd), with
+        a = an/ad and b = bn/bd."""
+        return tuple(
+            (j, a.numerator, a.denominator, b.numerator, b.denominator)
+            for (j, a, b) in self.forward
+        )
+
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -408,9 +425,7 @@ class FieldAutomorphism:
     # -- queries -----------------------------------------------------------
 
     def is_identity(self):
-        return all(
-            j == i and a == 1 and b == 0 for i, (j, a, b) in enumerate(self.forward)
-        )
+        return self.fixes_all
 
     # -- action ------------------------------------------------------------
 
@@ -460,7 +475,7 @@ def apply_automorphism(sigma, a):
     if sigma.field != a.field:
         raise MismatchError(f"field mismatch: {sigma.field} vs {a.field}")
     k = sigma.field.num_generators
-    if (type(a._num) is int and type(a._den) is int) or sigma.is_identity():
+    if (type(a._num) is int and type(a._den) is int) or sigma.fixes_all:
         return a  # constants are fixed by every automorphism
     top = [0] * k
     for part in a._polys():
@@ -468,10 +483,7 @@ def apply_automorphism(sigma, a):
             for i, e in enumerate(monomial):
                 if e > top[i]:
                     top[i] = e
-    images = [
-        (j, scale.numerator, scale.denominator, shift.numerator, shift.denominator)
-        for (j, scale, shift) in sigma.forward
-    ]
+    images = sigma.int_images
     pads = [(ad * bd) ** e for (_, _, ad, _, bd), e in zip(images, top)]
 
     def expansion(i, e):

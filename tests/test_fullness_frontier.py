@@ -115,14 +115,16 @@ class TestFrontierWork:
         MP = matrix_presentation(projector(), 2)
         e = MP.unit(1, 1) * MP.lift(0)
         calls = []
-        real = morita.matrix_normal_form
+        real = morita._reduced
 
-        def counting(f, MP, base_gb):
+        def counting(matrix, MP, base_gb):
             calls.append(1)
             assert len(calls) <= self.BOUND, "fullness search reduces too much"
-            return real(f, MP, base_gb)
+            return real(matrix, MP, base_gb)
 
-        monkeypatch.setattr(morita, "matrix_normal_form", counting)
+        # every reduction of the matrix walk goes through _reduced
+        monkeypatch.setattr(morita, "_reduced", counting)
         verdict = is_full_idempotent(e, MP, 6)
         assert str(verdict) == "unknown-at-6"
         assert verdict.bound == 6
+        assert calls

@@ -118,14 +118,17 @@ class TestCornerWork:
         gb = groebner(MP.pres, max(d + 2, MP.pres.max_relation_degree()))
         normal = FactorAvoider(MP.pres.num_gens, gb.entries()).count_up_to(d)
         calls = []
-        real = morita.matrix_normal_form
+        real = morita._reduced
 
-        def counting(f, MP, base_gb):
+        def counting(matrix, MP, base_gb):
             calls.append(1)
-            return real(f, MP, base_gb)
+            return real(matrix, MP, base_gb)
 
-        monkeypatch.setattr(morita, "matrix_normal_form", counting)
+        # every reduction of the matrix walk goes through _reduced: e and
+        # e*e, then per normal word w one step to e*w and one product e*w*e
+        monkeypatch.setattr(morita, "_reduced", counting)
         corner_filtered_dims(e, MP, d)
+        assert calls
         assert len(calls) <= 2 * normal + 2
         # the all-words loop would make one reduction per word at least
         assert 2 * normal + 2 < sum(MP.pres.num_gens ** c for c in range(d + 1))
