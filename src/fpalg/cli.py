@@ -21,6 +21,7 @@ from .aalpha import (
 )
 from .morita import (
     DegreeBudgetError,
+    _check_degree,
     corner_filtered_dims,
     is_full_idempotent,
     matrix_presentation,
@@ -338,23 +339,25 @@ def _cmd_matrix(args):
     return _presentation_result(matrix_presentation(_load_base(args), args.n).pres)
 
 
-def _matrix_element(args, text):
+def _matrix_element(args, text, degree, verdict):
     """M_n over the base of args, text parsed as one of its elements, and
-    the generator names it was parsed with."""
+    the generator names it was parsed with.  A negative degree for the
+    verdict fails first, before the n^2 + k names are built."""
     MP = matrix_presentation(_load_base(args), args.n)
+    _check_degree(degree, verdict)
     names = MP.generators
     return MP, parse_poly(text, MP.field, names), names
 
 
 def _cmd_idem(args):
-    MP, e, _ = _matrix_element(args, args.check)
+    MP, e, _ = _matrix_element(args, args.check, args.maxdeg, "idempotent")
     ok = verify_idempotent(e, MP, args.maxdeg)
     line = "idempotent" if ok else f"not-idempotent (tested to degree {args.maxdeg})"
     return 0, {"idempotent": ok, "bound": args.maxdeg}, [line]
 
 
 def _cmd_full(args):
-    MP, e, names = _matrix_element(args, args.elem)
+    MP, e, names = _matrix_element(args, args.elem, args.maxdeg, "fullness")
     # a full verdict comes back only once its certificate reduced to zero
     verdict = is_full_idempotent(e, MP, args.maxdeg)
     if not verdict.full:
@@ -366,7 +369,7 @@ def _cmd_full(args):
 
 
 def _cmd_corner(args):
-    MP, e, _ = _matrix_element(args, args.elem)
+    MP, e, _ = _matrix_element(args, args.elem, args.upto, "corner")
     dims = corner_filtered_dims(e, MP, args.upto)
     return 0, {"dims": dims}, [f"{c} {dim}" for c, dim in enumerate(dims)]
 

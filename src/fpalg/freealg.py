@@ -177,12 +177,15 @@ class NCPoly:
         )
 
     def monic(self):
-        """Divide by the leading coefficient."""
+        """Divide by the leading coefficient.
+
+        The inverse is the leading coefficient's canonical pair swapped,
+        with no gcd; each product with it is still reduced by Scalar.
+        """
         lead = self.leading_coeff()
         if lead.is_one():
             return self
-        inv = Scalar.one(self.field) / lead
-        return self.scale(inv)
+        return self.scale(lead._reciprocal())
 
     def mul_word(self, left, right):
         """a * f * b for words a, b."""

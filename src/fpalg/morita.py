@@ -299,6 +299,12 @@ def filtered_dimension(MP, d):
     return sum(counts) + (MP.n * MP.n - 1) * sum(counts[:d])
 
 
+def _check_degree(d, verdict):
+    """The ValueError of a verdict asked with a negative degree budget."""
+    if d < 0:
+        raise ValueError(f"{verdict} degree must be >= 0")
+
+
 def _check_context(e, MP):
     if e.field != MP.field or e.num_gens != MP.num_gens:
         raise MismatchError("element over a different context")
@@ -308,8 +314,7 @@ def verify_idempotent(e, MP, d):
     """Exact check of e^2 = e modulo the relations, within the degree budget:
     matrix_normal_form raises DegreeBudgetError when e*e - e has degree
     above max(d, 2, maximal relation degree of B)."""
-    if d < 0:
-        raise ValueError("idempotent degree must be >= 0")
+    _check_degree(d, "idempotent")
     _check_context(e, MP)
     return matrix_normal_form(e * e - e, MP, _base_basis(MP, d)).is_zero()
 
@@ -455,8 +460,7 @@ def is_full_idempotent(e, MP, d):
     target in them with the one combination there is, since they are
     linearly independent.
     """
-    if d < 0:
-        raise ValueError("fullness degree must be >= 0")
+    _check_degree(d, "fullness")
     _check_context(e, MP)
     base_gb = _base_basis(MP, _fullness_degree(e, d))
     E = _idempotent_matrix(e, MP, base_gb)
@@ -563,8 +567,7 @@ def corner_filtered_dims(e, MP, d):
     matrix, reduced entry by entry, as _span_vector: linear and one-to-one
     on normal forms, so every rank is the one over normal forms.
     """
-    if d < 0:
-        raise ValueError("corner degree must be >= 0")
+    _check_degree(d, "corner")
     _check_context(e, MP)
     base_gb = _corner_basis(e, MP, d)
     E = _idempotent_matrix(e, MP, base_gb)

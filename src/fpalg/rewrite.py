@@ -17,7 +17,7 @@ from __future__ import annotations
 import bisect
 import heapq
 from collections import deque
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 from typing import NamedTuple
 
 from .freealg import NCPoly, deglex_key, descending_key, find_factor
@@ -238,13 +238,17 @@ def groebner(P, maxdeg):
 
     Overlap candidates come from the index of the live leading words: a new
     leading word L overlaps u exactly where a proper suffix of L is a proper
-    prefix of u, or a proper prefix of L a proper suffix of u.  The index,
+    prefix of u, or a proper prefix of L a proper suffix of u.  An
+    S-element is built from the two parents' tails alone, as both parents
+    are monic and their overlap words cancel.  The final pass puts tails
+    into normal form and reduces only the elements with a tail word that
+    holds a leading word; the others are already in normal form.  The index,
     holding the tail-reduced elements, becomes the basis's own.
     """
     _check_truncation(P, maxdeg)
     m = P.num_gens
 
-    live = {}          # seq -> monic poly
+    live = {}          # seq -> (leading word, monic poly)
     seq_of = {}        # leading word -> seq
     index = ReductionIndex()  # the live elements by leading word
     heap = []          # (deglex key of overlap word, lseq, rseq, a, b)
@@ -273,7 +277,7 @@ def groebner(P, maxdeg):
             _, ls, rs, a, b = heapq.heappop(heap)
             if ls not in live or rs not in live:
                 continue
-            f = live[ls].mul_word((), b) - live[rs].mul_word(a, ())
+            f = _s_element(live[ls], live[rs], a, b)
         f = reduce_by_entries(f, index)
         if f.is_zero():
             continue
@@ -285,12 +289,12 @@ def groebner(P, maxdeg):
             if len(u) > len(new_lw) and find_factor(u, new_lw) >= 0
         )
         for s, u in displaced:
-            work.append(live.pop(s))
+            work.append(live.pop(s)[1])
             index.remove(u)
             del seq_of[u]
         seq = seq_counter
         seq_counter += 1
-        live[seq] = f
+        live[seq] = (new_lw, f)
         seq_of[new_lw] = seq
         index.add(new_lw, f)
         push_overlaps(seq, new_lw)
@@ -300,12 +304,43 @@ def groebner(P, maxdeg):
     # already tail-reduced; that gives the same tail as reducing by them as
     # completed.  Both sets have the same leading words and the same ideal,
     # and the basis is confluent up to maxdeg, so the normal form is unique.
+    # A tail word is deglex-smaller than lw, so lw is never a factor of it:
+    # when the index finds no leading word in any tail word, reducing g
+    # would give g back, and g stays as it is.
     final = []
     for lw, g in list(index):
-        index.remove(lw)
-        final.append(reduce_by_entries(g, index))
-        index.add(lw, final[-1])
+        if any(w != lw and index.find(w) for w in g._terms):
+            index.remove(lw)
+            g = reduce_by_entries(g, index)
+            index.add(lw, g)
+        final.append(g)
     return TruncatedGB(P.field, m, tuple(final), maxdeg, index)
+
+
+def _s_element(left, right, a, b):
+    """left * b - a * right for monic (leading word, poly) pairs with
+    lw(left) * b = a * lw(right), the overlap word.
+
+    The overlap word cancels, so only the parents' tails are shifted; a
+    shifted tail word stays below the overlap word, as deglex is compatible
+    with concatenation.
+    """
+    lu, gu = left
+    lv, gv = right
+    terms = {w + b: c for w, c in gu._terms.items() if w != lu}
+    for w, c in gv._terms.items():
+        if w == lv:
+            continue
+        w = a + w
+        if w in terms:
+            nc = terms[w] - c
+            if nc:
+                terms[w] = nc
+            else:
+                del terms[w]
+        else:
+            terms[w] = -c
+    return NCPoly(gu.field, gu.num_gens, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -427,9 +462,15 @@ def hilbert_series(P, upto):
     One basis, completed to max(upto, maximal relation degree), and one
     count of its deglex-normal words per length.  Exact for homogeneous
     relations: a word of length n meets only leading words of length <= n,
-    and the basis truncated at any degree >= n has the same ones.
+    and the basis truncated at any degree >= n has the same ones.  Below
+    the maximal relation degree only the relations of degree <= upto are
+    completed, to upto: the ideal's components of degree <= upto are
+    spanned by u * r * v of the same degree, so by those relations alone.
     """
     _check_graded(P, upto)
+    low = tuple(r for r in P.relations if r.degree() <= upto)
+    if len(low) < len(P.relations):
+        P = replace(P, relations=low)
     gb = groebner(P, max(upto, P.max_relation_degree()))
     return FactorAvoider(P.num_gens, gb.entries()).counts(upto)
 
@@ -437,11 +478,11 @@ def hilbert_series(P, upto):
 def graded_dimension(P, n, maxdeg):
     """Dimension of the degree-n component of the quotient algebra.
 
-    The last entry of hilbert_series(P, n): the basis is completed to
-    max(n, maximal relation degree), not to maxdeg, since no deeper element
-    can change the count at length n.  maxdeg is still checked as the
-    request's bound, so n <= maxdeg and maxdeg >= the maximal relation
-    degree are required.
+    The last entry of hilbert_series(P, n): the relations of degree <= n
+    are completed to n, not to maxdeg, since no other relation and no
+    deeper element can change the count at length n.  maxdeg is still
+    checked as the request's bound, so n <= maxdeg and maxdeg >= the
+    maximal relation degree are required.
     """
     _check_graded(P, n)
     if n > maxdeg:
@@ -522,7 +563,7 @@ class Span:
         work, lead = self._reduce(f, combo)
         if lead is None:
             return False
-        inv = Scalar.one(f.field) / work.pop(lead)
+        inv = work.pop(lead)._reciprocal()
         if combo is not None:
             combo = {t: c * inv for t, c in combo.items()}
         self._pivots[lead] = (tuple((w, c * inv) for w, c in work.items()), combo)

@@ -258,8 +258,19 @@ class Scalar:
     def _check(self, other):
         if not isinstance(other, Scalar):
             raise TypeError(f"expected Scalar, got {type(other).__name__}")
-        if other.field != self.field:
+        # operands mostly share one FieldSpec object; `is` spares __eq__
+        if other.field is not self.field and other.field != self.field:
             raise MismatchError(f"field mismatch: {self.field} vs {other.field}")
+
+    def _reciprocal(self):
+        """1 / self without a gcd: a canonical pair is coprime, so swapping
+        it only needs the sign moved onto the new numerator."""
+        num, den = self._num, self._den
+        if not num:
+            raise ZeroDivisionError("division by zero scalar")
+        if (num if type(num) is int else _leading_coeff(num)) < 0:
+            num, den = -num, -den
+        return Scalar(self.field, den, num)
 
     def __add__(self, other):
         self._check(other)

@@ -3,9 +3,10 @@
 This is the overlap step fpalg's groebner used before its prefix and
 suffix tables: each new basis element is tested against every live element,
 in both orders, for a proper suffix of one leading word that is a proper
-prefix of the other.  Everything else is the product loop, unchanged.  The
-differential tests hold groebner to the same basis and the same pushed and
-popped overlaps.
+prefix of the other.  It also keeps the product loop's earlier shortcuts
+undone: each S-element is the difference of the two shifted parents, and
+the final pass reduces every element.  The differential tests hold groebner
+to the same basis and the same pushed and popped overlaps.
 """
 
 import heapq

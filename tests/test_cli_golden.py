@@ -104,6 +104,30 @@ def test_unreadable_input_path_is_an_error(argv, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["idem", "--n", "1000", "--check", "e1_1", "--maxdeg", "-1"], "idempotent"),
+        (["full", "--n", "1000", "--elem", "e1_1", "--maxdeg", "-1"], "fullness"),
+        (["corner", "--n", "1000", "--elem", "e1_1", "--upto", "-1"], "corner"),
+    ],
+    ids=["idem", "full", "corner"],
+)
+def test_negative_degree_fails_before_the_matrix_names(argv, verdict, monkeypatch):
+    # the n^2 + k generator names of M_n are never built for a negative degree
+    reads = []
+    real = fpalg.MatrixPresentation.generators
+
+    def generators(MP):
+        reads.append(MP.n)
+        return real.fget(MP)
+
+    monkeypatch.setattr(fpalg.MatrixPresentation, "generators", property(generators))
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (2, "", f"error: {verdict} degree must be >= 0\n")
+    assert reads == []
+
+
 # Runs every golden case through fpalg.cli.run in one fresh interpreter and
 # prints (exit code, stdout, stderr) per case as JSON.
 _GOLDEN_RUNNER = """

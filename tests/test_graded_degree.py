@@ -3,9 +3,12 @@
 For homogeneous relations a word of length n meets only leading words of
 length <= n, so graded_dimension, hilbert_series and ideal_membership
 complete to max(degree asked, maximal relation degree) instead of to the
-bound maxdeg.  These tests pin the degree each one hands to groebner, the
-errors they keep raising before any completion, and their answers against
-the u * r * v span oracle on presentations mixing relation degrees 1 to 3.
+bound maxdeg; below the maximal relation degree, hilbert_series and
+graded_dimension complete only the relations of degree <= the degree
+asked, to that degree.  These tests pin the degree each one hands to
+groebner, the errors they keep raising before any completion, and their
+answers against the u * r * v span oracle on presentations mixing relation
+degrees 1 to 3.
 """
 
 import pathlib
@@ -77,19 +80,35 @@ def test_cli_hilbert_completes_once(degrees, capsys):
 
 
 def test_cli_hilbert_below_relation_degree_completes_at_it(degrees, capsys):
+    # below the relation degree 2 no relation is completed, to degree 1
     assert run(["hilbert", "--file", str(INPUTS / "aalpha_t.alg"), "--upto", "1"]) == 0
     assert capsys.readouterr().out == "0 1\n1 2\n"
-    assert degrees == [2]
+    assert degrees == [1]
 
 
 @pytest.mark.parametrize(
-    "make, expected", [(a_t, [2, 2, 2, 3, 4]), (cubic, [3, 3, 3, 3, 4])]
+    "make, expected", [(a_t, [0, 1, 2, 3, 4]), (cubic, [0, 1, 2, 3, 4])]
 )
 def test_graded_dimension_completes_to_max_of_n_and_relation_degree(make, expected, degrees):
+    # the relation degree counted is that of the relations of degree <= n
     P = make()
     dims = [graded_dimension(P, n, 4) for n in range(5)]
     assert degrees == expected
     assert dims == [graded_dimension_oracle(P, n) for n in range(5)]
+
+
+def test_hilbert_series_below_the_top_degree_completes_the_low_relations(degrees):
+    # relations of degrees 1, 2 and 3 over Q and Q(t1): below degree 3 the
+    # series completes only the relations it can see, to the degree asked
+    rng = random.Random(2901)
+    for field in (Q, Q, QT):
+        P = mixed_degree_presentation(rng, field, 2, (1, 2, 3))
+        expected = [graded_dimension_oracle(P, n) for n in range(3)]
+        del degrees[:]
+        assert [hilbert_series(P, upto) for upto in range(3)] == [
+            expected[: upto + 1] for upto in range(3)
+        ]
+        assert degrees == [0, 1, 2]
 
 
 def test_membership_completes_to_what_the_verdict_sees(degrees):

@@ -301,3 +301,49 @@ class TestCachedHash:
         assert denominator(a) == 1
         assert a == (t * u - u) / (t - Scalar.one(QT2)) * (t - Scalar.one(QT2)) * (t + u)
         assert str(a) == str((t + u) * (t * u - u))
+
+
+class TestReciprocal:
+    """Scalar._reciprocal (the gcd-free inverse NCPoly.monic uses) against
+    Scalar.one(F) / x, representation included."""
+
+    def assert_same_inverse(self, x):
+        got = x._reciprocal()
+        expected = Scalar.one(x.field) / x
+        assert got == expected
+        assert str(got) == str(expected)
+        for part, ref in ((got._num, expected._num), (got._den, expected._den)):
+            assert type(part) is type(ref)  # int exactly when constant
+        assert got * x == Scalar.one(x.field)
+
+    def test_random_values(self):
+        rng = random.Random(2903)
+        for field in (Q, QT, QT2):
+            for _ in range(150):
+                x = rich_scalar(rng, field)
+                if x:
+                    self.assert_same_inverse(x)
+
+    def test_signs_and_part_kinds(self):
+        t = Scalar.generator(QT, 0)
+        u = Scalar.generator(QT2, 1)
+        cases = [
+            s(Q, -3),
+            Scalar.from_fraction(Q, Fraction(-6, 4)),
+            Scalar.from_fraction(Q, Fraction(5, 7)),
+            s(QT, -1) * t + s(QT, 3),  # negative leading coefficient
+            s(QT, 2) / (t * t + s(QT, 1)),  # int numerator, polynomial denominator
+            s(QT, -2) / t,
+            (t - s(QT, 1)) / s(QT, 3),  # polynomial numerator, int denominator
+            (s(QT, 1) - t * t) / (t + s(QT, 2)),
+            s(QT, 7),
+            (Scalar.generator(QT2, 0) - u * u) / (u + s(QT2, 1)),
+            s(QT2, -1) * u,
+        ]
+        for x in cases:
+            self.assert_same_inverse(x)
+
+    def test_zero_raises(self):
+        for field in (Q, QT, QT2):
+            with pytest.raises(ZeroDivisionError):
+                Scalar.zero(field)._reciprocal()
