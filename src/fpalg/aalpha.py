@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 from .freealg import NCPoly
 from .presentation import Presentation
-from .rewrite import _generating_by, groebner, normal_form
+from .rewrite import _generating_by, graded_basis, normal_form
 from .scalars import (
     ModScalar,
     Scalar,
@@ -164,31 +164,28 @@ def iso_witness(alpha, beta):
 def verify_iso_witness(alpha, beta, images):
     """Check both contract halves for a claimed generator-image pair.
 
-    The relation of A_alpha is homogeneous of degree 2, so reduction never
-    raises the degree of a homogeneous component, and normal forms of degree
-    <= D are the same under every truncation >= D (the ideal_membership
-    argument).  The relation half therefore completes only to max(2, degree
-    of the substituted relation) and its normal form is exact.
+    The relation of A_alpha is homogeneous, so both halves reduce over
+    graded_basis, exactly: first at the larger of the substituted
+    relation's degree and 1, where the generation half starts.
 
     The generation half first makes _generating_by's opening span check,
     without products: do 1 and the images of degree <= 1 span the
     generators' normal forms?  The degree-3 check makes the same test first,
     over a superset of those candidates and with equal normal forms (all of
     degree <= 1), so a yes here is its yes too.  Only a no goes on to the
-    degree-3 saturation, over a basis complete to max(3, degree of the
-    substituted relation), which gives the verdict of groebner(P, 3).  So
-    every input gets the degree-3 verdict, and only a failing witness pays
-    for a second completion.
+    degree-3 saturation, over a basis complete to at least 3, which gives
+    the verdict of groebner(P, 3).  So every input gets the degree-3
+    verdict, and only a failing witness pays for a second completion.
     """
     P = make_aalpha(alpha)
     substituted = make_aalpha(beta).relations[0].substitute(list(images))
-    gb = groebner(P, max(2, substituted.degree()))
+    gb = graded_basis(P, max(1, substituted.degree()))
     if not normal_form(substituted, gb).poly.is_zero():
         return False
     if _generating_by(list(images), P, gb, 1):
         return True
     if gb.complete_to < 3:
-        gb = groebner(P, 3)
+        gb = graded_basis(P, 3)
     return bool(_generating_by(list(images), P, gb, 3))
 
 

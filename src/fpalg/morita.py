@@ -25,10 +25,10 @@ docstring for why that is the normal form a completed basis of M_n(B)
 gives).  Corners and fullness never write back: they walk e*w and u*e*v
 as matrices over B, where a unit letter moves a row or a column and a
 lift letter multiplies each entry by its generator and reduces it.
-Corners of a homogeneous B complete B only to max(d + 2*zdeg(e), maximal
-relation degree), zdeg(e) the most lifts in a word of e, since every
-entry they reduce lies within that degree and a homogeneous basis gives
-there the normal forms any deeper one gives (see _corner_basis).
+Corners, fullness and filtered dimensions take B's basis from one rule,
+_walk_basis: on a homogeneous B it is rewrite.graded_basis at the highest
+base degree of an entry the walk reduces, and otherwise the basis the
+normal forms of M_n(B) need at the degree of the walked products.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .freealg import NCPoly
 from .presentation import Presentation
-from .rewrite import FactorAvoider, Span, groebner, reduce_by_entries
+from .rewrite import FactorAvoider, Span, graded_basis, groebner, reduce_by_entries
 from .scalars import FieldSpec, MismatchError, Scalar
 
 
@@ -144,6 +144,23 @@ def _base_basis(MP, maxdeg):
     """
     B = MP.base
     return groebner(B, max(maxdeg, 2, B.max_relation_degree()))
+
+
+def _walk_basis(e, MP, d, copies):
+    """B's basis for walking products u*e*v, |u| + |v| <= d, with copies
+    factors e: 2 for corners e*w*e, 1 for fullness.  Their entries, and
+    those of e*e, have base degree at most max(d + copies*zdeg(e),
+    2*zdeg(e)), zdeg(e) the most lifts in a word of e: on a homogeneous B
+    that is graded_basis's degree.  Otherwise the basis is the one the
+    normal forms of M_n(B) need at the degree of those products, deg e
+    read as at least 1."""
+    B = MP.base
+    if B.is_homogeneous():
+        nn = MP.n * MP.n
+        zdeg = max((sum(g >= nn for g in w) for w in e._terms), default=0)
+        return graded_basis(B, max(d + copies * zdeg, 2 * zdeg))
+    edeg = max(e.degree(), 1)
+    return _base_basis(MP, max(d + copies * edeg, 2 * edeg))
 
 
 def _reduced(matrix, MP, base_gb):
@@ -287,14 +304,15 @@ def filtered_dimension(MP, d):
     With a degree-compatible order the normal form of any word of length
     <= d is a combination of normal words of length <= d, and normal words
     are their own normal forms, so the span dimension equals the count of
-    normal words of M_n(B) at degree d + 2.  Those are the B-normal z-words
+    normal words of M_n(B) of length <= d.  Those are the B-normal z-words
     of length <= d, and those of length <= d - 1 followed by one of the
     n^2 - 1 units other than e11 (see matrix_normal_form), so B's counts
-    b_c give sum_{c<=d} b_c + (n^2 - 1) * sum_{c<=d-1} b_c.
+    b_c give sum_{c<=d} b_c + (n^2 - 1) * sum_{c<=d-1} b_c.  This is the
+    corner of e = 1, and B's basis is the one that corner walks with.
     """
     if d < 2:
         raise ValueError("filtration degree must be >= 2")
-    base_gb = _base_basis(MP, d + 2)
+    base_gb = _walk_basis(NCPoly.one(MP.field, MP.num_gens), MP, d, 2)
     counts = FactorAvoider(MP.base.num_gens, base_gb.entries()).counts(d)
     return sum(counts) + (MP.n * MP.n - 1) * sum(counts[:d])
 
@@ -402,12 +420,6 @@ class FullnessVerdict:
         return "full" if self.full else f"unknown-at-{self.bound}"
 
 
-def _fullness_degree(e, d):
-    # u*e*v with |u| + |v| <= d, and e*e, lie within this degree
-    edeg = max(e.degree(), 1)
-    return max(d + edeg, 2 * edeg)
-
-
 def _certificate_residue(e, MP, certificate):
     """sum c * u*e*v - 1, zero modulo the relations exactly when the
     certificate is valid."""
@@ -437,15 +449,15 @@ def is_full_idempotent(e, MP, d):
       (u, v) to a tag that comes before (x*u, v): a shorter total length
       stays shorter, a shorter u stays shorter, and same-length words keep
       their lex order.  So does right multiplication, onto (u, v*x).
-    - The basis is complete to _fullness_degree, so NF is linear up to it,
-      and a polynomial that reduces to zero still does after multiplying
-      by a letter within that degree.  If NF(u*e*v) is a combination of
-      the inserts of earlier tags, then NF(x*u*e*v) and NF(u*e*v*x) are
-      the same combination of the inserts of their images, which come
-      earlier.  So if a tag does not grow the rank, neither does any
-      extension of it, and every tag that grows the rank at length t + 1
-      extends, on either side where it has a letter, one that grew it at
-      length t.
+    - The basis is _walk_basis(e, MP, d, 1), so NF is linear up to its
+      degree, and a polynomial that reduces to zero still does after
+      multiplying by a letter within that degree.  If NF(u*e*v) is a
+      combination of the inserts of earlier tags, then NF(x*u*e*v) and
+      NF(u*e*v*x) are the same combination of the inserts of their images,
+      which come earlier.  So if a tag does not grow the rank, neither does
+      any extension of it, and every tag that grows the rank at length
+      t + 1 extends, on either side where it has a letter, one that grew it
+      at length t.
     - An insert that does not grow the rank leaves the Span unchanged.
       The frontier inserts, in the same order, a subsequence of all the
       tags that holds every rank-growing one, so each pivot and its
@@ -462,7 +474,7 @@ def is_full_idempotent(e, MP, d):
     """
     _check_degree(d, "fullness")
     _check_context(e, MP)
-    base_gb = _base_basis(MP, _fullness_degree(e, d))
+    base_gb = _walk_basis(e, MP, d, 1)
     E = _idempotent_matrix(e, MP, base_gb)
     if e.is_zero():
         raise ValueError("the zero element is never a full idempotent")
@@ -499,13 +511,13 @@ def verify_fullness_certificate(e, MP, certificate, d):
     """Recompute sum c * u*e*v - 1 and reduce it to zero.
 
     The basis is the one is_full_idempotent(e, MP, d) searched with, or
-    deeper if the certificate is longer.  NF is linear up to that degree, so
-    a certificate the search found reduces to zero; a zero normal form proves
-    the identity at any degree.
+    the one for the certificate's longest |u| + |v| if that is above d.  NF
+    is linear up to that degree, so a certificate the search found reduces
+    to zero; a zero normal form proves the identity at any degree.
     """
-    acc = _certificate_residue(e, MP, certificate)
-    base_gb = _base_basis(MP, max(_fullness_degree(e, d), acc.degree()))
-    return not _matrix(acc, MP, base_gb)
+    longest = max((len(u) + len(v) for (u, v), _ in certificate), default=0)
+    base_gb = _walk_basis(e, MP, max(d, longest), 1)
+    return not _matrix(_certificate_residue(e, MP, certificate), MP, base_gb)
 
 
 def _normal_words(MP, base_gb, d):
@@ -525,32 +537,11 @@ def _normal_words(MP, base_gb, d):
     ]
 
 
-def _corner_basis(e, MP, d):
-    """B's basis for the corners of e to depth d.
-
-    Every product the walk reduces is an entry of e*w*e with |w| <= d, of
-    base degree at most d + 2*zdeg(e), zdeg(e) the most lifts in a word of
-    e.  When B is homogeneous, its basis complete to D is the part of
-    degree <= D of the full reduced basis, so below D it gives the normal
-    forms that any deeper basis gives (the argument hilbert_series and
-    ideal_membership rely on): D = max(d + 2*zdeg(e), maximal relation
-    degree of B) is exact.  Otherwise the basis is the one the normal forms
-    of M_n(B) up to degree max(d + 2*deg e, 2*deg e) need.
-    """
-    B = MP.base
-    if B.is_homogeneous():
-        nn = MP.n * MP.n
-        zdeg = max((sum(g >= nn for g in w) for w in e._terms), default=0)
-        return groebner(B, max(d + 2 * zdeg, B.max_relation_degree()))
-    edeg = max(e.degree(), 1)
-    return _base_basis(MP, max(d + 2 * edeg, 2 * edeg))
-
-
 def corner_filtered_dims(e, MP, d):
     """Span dimensions of normal forms of e*w*e for |w| <= c, c = 0..d.
 
     Only normal words w are inserted, and that loses nothing.  The basis is
-    complete to gbdeg >= d + 2*zdeg(e) (_corner_basis).  Every word w with
+    _walk_basis(e, MP, d, 2), complete to gbdeg.  Every word w with
     |w| <= c equals NF(w) plus a sum of terms a*g*b with g in the basis and
     deg(a*g*b) <= |w|, and NF(w) is a combination of normal words of length
     <= |w|.  The entries of each e*(a*g*b)*e have base degree at most
@@ -569,7 +560,7 @@ def corner_filtered_dims(e, MP, d):
     """
     _check_degree(d, "corner")
     _check_context(e, MP)
-    base_gb = _corner_basis(e, MP, d)
+    base_gb = _walk_basis(e, MP, d, 2)
     E = _idempotent_matrix(e, MP, base_gb)
 
     span = Span()

@@ -348,24 +348,42 @@ def _s_element(left, right, a, b):
 # ---------------------------------------------------------------------------
 
 
+def graded_basis(P, D):
+    """P's relations of degree <= D, completed to D: the basis every
+    question of degree D about homogeneous P reduces or counts over.
+
+    Why it is exact, for every homogeneous verdict.  The ideal's degree-c
+    component is spanned by the u * r * v of degree c, so by the relations
+    of degree <= c.  Reduction never raises the degree of a homogeneous
+    component, so a polynomial of degree <= D meets only basis elements of
+    degree <= D, and completion builds those from the relations and
+    overlaps of degree <= D alone.  By Bergman's diamond lemma (Adv. Math.
+    29, 1978), truncated at D, normal forms, normal words and membership
+    in degrees <= D are those of any deeper truncation of all of P.  A
+    negative D, the zero polynomial's degree, asks for degree 0.
+    """
+    D = max(D, 0)
+    low = tuple(r for r in P.relations if r.degree() <= D)
+    if len(low) < len(P.relations):
+        P = replace(P, relations=low)
+    return groebner(P, D)
+
+
 def ideal_membership(f, P, maxdeg):
     """Decide f in the relation ideal via a truncated basis.
 
-    A zero normal form certifies membership.  For homogeneous P the basis is
-    completed to max(deg f, maximal relation degree) only, and a nonzero
-    normal form is exact as well: reduction never raises the degree of a
-    homogeneous component of f, so each one meets only basis elements of at
-    most its own degree, and those agree with the ones of any deeper
-    truncation.  Inhomogeneous P is completed to maxdeg, because its
-    reductions can pass through higher degrees; there a nonzero normal form
-    only holds up to maxdeg.
+    A zero normal form certifies membership.  For homogeneous P the basis
+    is graded_basis(P, deg f), and a nonzero normal form is exact as well.
+    Inhomogeneous P is completed to maxdeg, because its reductions can pass
+    through higher degrees; there a nonzero normal form only holds up to
+    maxdeg.
     """
     if f.degree() > maxdeg:
         raise ValueError("polynomial degree exceeds maxdeg")
     _check_truncation(P, maxdeg)
     homogeneous = P.is_homogeneous()
-    degree = max(f.degree(), P.max_relation_degree()) if homogeneous else maxdeg
-    member = normal_form(f, groebner(P, degree)).poly.is_zero()
+    gb = graded_basis(P, f.degree()) if homogeneous else groebner(P, maxdeg)
+    member = normal_form(f, gb).poly.is_zero()
     return MembershipVerdict(member, member or homogeneous, maxdeg)
 
 
@@ -457,32 +475,19 @@ def _check_graded(P, n):
 
 
 def hilbert_series(P, upto):
-    """Dimensions of the degree 0..upto components of the quotient algebra.
-
-    One basis, completed to max(upto, maximal relation degree), and one
-    count of its deglex-normal words per length.  Exact for homogeneous
-    relations: a word of length n meets only leading words of length <= n,
-    and the basis truncated at any degree >= n has the same ones.  Below
-    the maximal relation degree only the relations of degree <= upto are
-    completed, to upto: the ideal's components of degree <= upto are
-    spanned by u * r * v of the same degree, so by those relations alone.
-    """
+    """Dimensions of the degree 0..upto components of the quotient algebra:
+    the counts of normal words per length over graded_basis(P, upto)."""
     _check_graded(P, upto)
-    low = tuple(r for r in P.relations if r.degree() <= upto)
-    if len(low) < len(P.relations):
-        P = replace(P, relations=low)
-    gb = groebner(P, max(upto, P.max_relation_degree()))
-    return FactorAvoider(P.num_gens, gb.entries()).counts(upto)
+    return FactorAvoider(P.num_gens, graded_basis(P, upto).entries()).counts(upto)
 
 
 def graded_dimension(P, n, maxdeg):
     """Dimension of the degree-n component of the quotient algebra.
 
-    The last entry of hilbert_series(P, n): the relations of degree <= n
-    are completed to n, not to maxdeg, since no other relation and no
-    deeper element can change the count at length n.  maxdeg is still
-    checked as the request's bound, so n <= maxdeg and maxdeg >= the
-    maximal relation degree are required.
+    The last entry of hilbert_series(P, n), so completed to n, not to
+    maxdeg: no deeper element can change the count at length n.  maxdeg
+    is still checked as the request's bound, so n <= maxdeg and maxdeg >=
+    the maximal relation degree are required.
     """
     _check_graded(P, n)
     if n > maxdeg:

@@ -12,12 +12,7 @@ hold is_full_idempotent to the same verdict, bound and certificate.
 from itertools import product
 
 from fpalg.freealg import NCPoly
-from fpalg.morita import (
-    _NOT_IDEMPOTENT,
-    FullnessVerdict,
-    _certificate_residue,
-    _fullness_degree,
-)
+from fpalg.morita import _NOT_IDEMPOTENT, FullnessVerdict, _certificate_residue
 from fpalg.rewrite import Span, groebner, reduce_by_entries
 
 
@@ -25,7 +20,8 @@ def allwords_full_idempotent(e, MP, d):
     """is_full_idempotent(e, MP, d) by the all-words loop."""
     if d < 0:
         raise ValueError("fullness degree must be >= 0")
-    need = max(_fullness_degree(e, d), MP.pres.max_relation_degree())
+    edeg = max(e.degree(), 1)
+    need = max(d + edeg, 2 * edeg, MP.pres.max_relation_degree())
     entries = groebner(MP.pres, need).entries()
     if not reduce_by_entries(e * e - e, entries).is_zero():
         raise ValueError(_NOT_IDEMPOTENT)

@@ -1,14 +1,14 @@
-"""Graded verdicts complete only to the degree they can see.
+"""Homogeneous verdicts complete only to the degree they can see.
 
-For homogeneous relations a word of length n meets only leading words of
-length <= n, so graded_dimension, hilbert_series and ideal_membership
-complete to max(degree asked, maximal relation degree) instead of to the
-bound maxdeg; below the maximal relation degree, hilbert_series and
-graded_dimension complete only the relations of degree <= the degree
-asked, to that degree.  These tests pin the degree each one hands to
-groebner, the errors they keep raising before any completion, and their
-answers against the u * r * v span oracle on presentations mixing relation
-degrees 1 to 3.
+For homogeneous relations a polynomial of degree n meets only basis
+elements of degree <= n, so every homogeneous verdict takes its basis from
+rewrite.graded_basis: the relations of degree <= the degree the verdict
+reduces or counts at, completed to that degree, instead of to the bound
+maxdeg.  These tests pin the degree each verdict hands to groebner (a
+guard holds hilbert, member, corner, full, filtered and the iso re-check to
+that one rule), the errors they keep raising before any completion, and
+their answers against the u * r * v span oracle on presentations mixing
+relation degrees 1 to 3.
 """
 
 import pathlib
@@ -21,15 +21,20 @@ from fpalg import (
     NCPoly,
     Presentation,
     Scalar,
+    corner_filtered_dims,
+    filtered_dimension,
     graded_dimension,
     hilbert_series,
     ideal_membership,
+    is_full_idempotent,
     iso_witness,
     make_aalpha,
+    matrix_presentation,
     parse_presentation,
+    verify_fullness_certificate,
     verify_iso_witness,
 )
-from fpalg import aalpha, rewrite
+from fpalg import cli, morita, rewrite
 from fpalg.cli import run
 from randgen import random_word, simple_scalar
 from span_oracle import graded_dimension_oracle, ideal_membership_oracle
@@ -119,7 +124,8 @@ def test_membership_completes_to_what_the_verdict_sees(degrees):
     assert (verdict.member, verdict.exact, verdict.bound) == (False, True, 4)
     assert ideal_membership(x1 * relation, P, 4).member
     assert ideal_membership(relation * x2 + x1 * x1 * x1 * x2, P, 4).exact
-    assert degrees == [2, 3, 4]
+    # a degree-1 question completes no relation, to degree 1
+    assert degrees == [1, 3, 4]
     # inhomogeneous relations keep the requested bound: reductions of
     # x1 - 1 by x1*x1 - x1 may pass through higher degrees
     del degrees[:]
@@ -130,29 +136,49 @@ def test_membership_completes_to_what_the_verdict_sees(degrees):
     assert degrees == [5]
 
 
-def test_iso_recheck_completes_once(degrees, monkeypatch):
-    # verify_iso_witness holds its own reference to groebner; a passing
-    # witness is re-checked over the one basis the relation half completed,
-    # at the relation degree 2
-    monkeypatch.setattr(aalpha, "groebner", rewrite.groebner)
+def test_membership_below_the_top_degree_completes_the_low_relations(degrees):
+    # relations of degrees 1, 2 and 3 over Q and Q(t1): a question of
+    # degree n below 3 completes only the relations of degree <= n, to n
+    rng = random.Random(2902)
+    verdicts = set()
+    for field in (Q, Q, QT):
+        P = mixed_degree_presentation(rng, field, 2, (1, 2, 3))
+        for n in (1, 2):
+            member = ideal_element(rng, P, n)
+            noise = homogeneous_poly(rng, field, 2, n, n_terms=2)
+            for f in (member, member + noise, noise, member + NCPoly.one(field, 2)):
+                if f.is_zero():
+                    continue
+                del degrees[:]
+                verdict = ideal_membership(f, P, 3)
+                assert (verdict.member, verdict.exact, verdict.bound) == (
+                    ideal_membership_oracle(P, f), True, 3
+                ), (str(P), f.to_text(P.generators))
+                assert degrees == [f.degree()]
+                verdicts.add(verdict.member)
+    assert verdicts == {False, True}
+
+
+def test_iso_recheck_completes_once(degrees):
+    # a passing witness is re-checked over the one basis the relation half
+    # completed, at the relation degree 2
     t = Scalar.generator(QT, 0)
     images = iso_witness(t, -t)
     assert verify_iso_witness(t, -t, images)
     assert degrees == [2]
 
 
-def test_iso_recheck_completes_again_for_a_failing_witness(degrees, monkeypatch):
-    # (x1, x1) substitutes to 0 under beta = -2, so the relation half passes;
-    # its images do not span x2, and only then is the degree-3 basis completed
-    monkeypatch.setattr(aalpha, "groebner", rewrite.groebner)
+def test_iso_recheck_completes_again_for_a_failing_witness(degrees):
+    # (x1, x1) substitutes to 0 under beta = -2, so the relation half passes
+    # over the degree-1 basis the generation check starts at; its images do
+    # not span x2, and only then is the degree-3 basis completed
     t = Scalar.generator(QT, 0)
     x1 = NCPoly.gen(QT, 2, 0)
     assert not verify_iso_witness(t, Scalar.from_int(QT, -2), (x1, x1))
-    assert degrees == [2, 3]
+    assert degrees == [1, 3]
 
 
-def test_iso_recheck_stops_at_the_relation_half(degrees, monkeypatch):
-    monkeypatch.setattr(aalpha, "groebner", rewrite.groebner)
+def test_iso_recheck_stops_at_the_relation_half(degrees):
     t = Scalar.generator(QT, 0)
     x1 = NCPoly.gen(QT, 2, 0)
     assert not verify_iso_witness(t, -t, (x1, x1))
@@ -277,3 +303,108 @@ def test_dimensions_and_membership_match_the_span_oracle():
                 ideal_membership_oracle(P, f), True, 4
             ), (str(P), f.to_text(P.generators))
     assert sides == {-1, 0, 1}
+
+
+# ---------------------------------------------------------------------------
+# one depth rule: every homogeneous verdict completes through graded_basis
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def depths(monkeypatch):
+    """[presentation, maxdeg, highest degree reduced over the basis] for
+    every completion, made through any binding of groebner.  Reductions a
+    completion makes on its own are not counted."""
+    rows = []
+    by_index = {}
+    completing = []
+    real_groebner = rewrite.groebner
+    real_reduce = rewrite.reduce_by_entries
+
+    def spying(P, maxdeg):
+        completing.append(P)
+        try:
+            gb = real_groebner(P, maxdeg)
+        finally:
+            completing.pop()
+        row = [P, maxdeg, -1, gb]
+        rows.append(row)
+        by_index[id(gb.entries())] = row
+        return gb
+
+    def reducing(f, entries):
+        if not completing:
+            row = by_index[id(entries)]
+            row[2] = max(row[2], f.degree())
+        return real_reduce(f, entries)
+
+    for module in (rewrite, morita, cli):
+        for name, real, spy in (
+            ("groebner", real_groebner, spying),
+            ("reduce_by_entries", real_reduce, reducing),
+        ):
+            if getattr(module, name, None) is real:
+                monkeypatch.setattr(module, name, spy)
+    return rows
+
+
+def matrix_bases():
+    return {"A_t": a_t(), "A_alpha": make_aalpha(Scalar.from_int(Q, 3)), "cubic": cubic()}
+
+
+def lifted_idempotents(MP):
+    """(zdeg, e): e11 and e11 + e12*z1, which carries one lift."""
+    e11 = MP.unit(1, 1)
+    return [(0, e11), (1, e11 + MP.unit(1, 2) * MP.lift(0))]
+
+
+def test_every_homogeneous_verdict_completes_at_the_degree_it_reduces_at(depths):
+    reached = set()
+
+    def check(kind, expected, counted=False):
+        # one completion per call, except the iso re-check of a failing
+        # witness; no relation above maxdeg, maxdeg the verdict's degree,
+        # and no reduction over the basis above it
+        assert [row[1] for row in depths] == expected, kind
+        for P, maxdeg, highest, _ in depths:
+            assert all(r.degree() <= maxdeg for r in P.relations), kind
+            assert highest == -1 if counted else highest <= maxdeg, kind
+            if highest == maxdeg:
+                reached.add(kind)
+        del depths[:]
+
+    rng, presentations = corpus()
+    for P in presentations:
+        for upto in range(5):
+            hilbert_series(P, upto)
+            check("hilbert", [upto], counted=True)
+        for f in probes(rng, P):
+            if not f.is_zero():
+                ideal_membership(f, P, 4)
+                check("member", [f.degree()])
+    for B in matrix_bases().values():
+        MP = matrix_presentation(B, 2)
+        for d in range(2, 5):
+            filtered_dimension(MP, d)
+            check("filtered", [d], counted=True)
+        for zdeg, e in lifted_idempotents(MP):
+            for d in range(4):
+                corner_filtered_dims(e, MP, d)
+                check("corner", [d + 2 * zdeg])
+                verdict = is_full_idempotent(e, MP, d)
+                check("full", [max(d + zdeg, 2 * zdeg)])
+                if verdict.full:
+                    assert verify_fullness_certificate(e, MP, verdict.certificate, d)
+                    check("full re-check", [max(d + zdeg, 2 * zdeg)])
+    t = Scalar.generator(QT, 0)
+    x1, x2 = (NCPoly.gen(QT, 2, i) for i in range(2))
+    for beta, images, expected in [
+        (-t, iso_witness(t, -t), [2]),
+        (-t, (x1, x1), [2]),
+        (Scalar.from_int(QT, -2), (x1, x1), [1, 3]),
+        (t, (x1 * x2, x2), [4]),
+    ]:
+        verify_iso_witness(t, beta, images)
+        check("iso", expected)
+    # the re-check reduces only the residue, below the search's degree
+    assert reached == {"member", "corner", "full", "iso"}

@@ -30,6 +30,7 @@ from fpalg import (
 )
 from fpalg import morita, rewrite
 from fpalg.rewrite import FactorAvoider, normal_form
+from completion_spy import spy_completions
 from randgen import random_homogeneous_quadratic, random_poly, random_presentation, random_word
 
 Q = FieldSpec(0)
@@ -152,24 +153,19 @@ def test_raises_above_need(name):
 
 
 def test_full_completes_only_the_base(monkeypatch):
-    calls = []
+    calls = spy_completions(monkeypatch)
     indexes = []
-
-    def counting(P, maxdeg):
-        calls.append(P.num_gens)
-        return rewrite.groebner(P, maxdeg)
 
     class RecordedIndex(rewrite.ReductionIndex):
         def __init__(self, *args):
             super().__init__(*args)
             indexes.append(self)
 
-    monkeypatch.setattr(morita, "groebner", counting)
     monkeypatch.setattr(rewrite, "ReductionIndex", RecordedIndex)
     B = make_aalpha(Scalar.generator(QT, 0))
     MP = matrix_presentation(B, 3)
     assert is_full_idempotent(MP.unit(1, 1), MP, 2).full
-    assert calls == [B.num_gens]
+    assert [P for P, _ in calls] == [B]
     # the one index is B's completion's, over B's generators only
     assert len(indexes) == 1
     assert all(g < B.num_gens for lw, _ in indexes[0] for g in lw)

@@ -4,9 +4,10 @@ corner_filtered_dims and is_full_idempotent carry e*w and u*e*v as n x n
 matrices over B and reduce entry by entry; tests/allwords_corner.py and
 tests/allwords_fullness.py complete the whole matrix presentation and
 reduce every word.  Both must give the same dims, verdicts, bounds and
-certificates.  Corners of a homogeneous B complete B only to
-max(d + 2*zdeg(e), maximal relation degree), zdeg(e) the most lifts in a
-word of e; an inhomogeneous B keeps the M_n(B) degree d + 2*deg e.
+certificates.  Corners of a homogeneous B complete only B's relations of
+degree <= d + 2*zdeg(e), to that degree (rewrite.graded_basis), zdeg(e)
+the most lifts in a word of e; an inhomogeneous B keeps the M_n(B) degree
+d + 2*deg e.
 """
 
 import pathlib
@@ -30,6 +31,7 @@ from fpalg import (
 from fpalg import morita
 from allwords_corner import allwords_corner_dims
 from allwords_fullness import allwords_full_idempotent
+from completion_spy import degrees_of, spy_completions
 from randgen import random_poly
 
 Q = FieldSpec(0)
@@ -133,39 +135,31 @@ def test_the_walk_guards_the_base_degree():
 
 
 class TestCornerDegree:
-    def spy_degrees(self, monkeypatch):
-        degrees = []
-        real = morita.groebner
-
-        def spying(P, maxdeg):
-            degrees.append(maxdeg)
-            return real(P, maxdeg)
-
-        monkeypatch.setattr(morita, "groebner", spying)
-        return degrees
-
     @pytest.mark.parametrize("base", ["Q", "A_t", "A_alpha"])
     def test_homogeneous_base_completes_to_d_plus_2_zdeg(self, monkeypatch, base):
+        # graded_basis: the relations of degree <= d + 2*zdeg, to that degree
         B = bases()[base]
         assert B.is_homogeneous()
         MP = matrix_presentation(B, 2)
-        degrees = self.spy_degrees(monkeypatch)
+        calls = spy_completions(monkeypatch)
         for name, e in idempotents(MP):
             zdeg = 1 if name == "e11+e12*z1" else 0
             for d in range(4):
-                degrees.clear()
+                calls.clear()
                 corner_filtered_dims(e, MP, d)
-                assert degrees == [max(d + 2 * zdeg, B.max_relation_degree())], (name, d)
+                assert degrees_of(calls) == [d + 2 * zdeg], (name, d)
+                assert all(r.degree() <= d + 2 * zdeg for r in calls[0][0].relations)
 
     @pytest.mark.parametrize("base", ["projector", "weyl"])
     def test_inhomogeneous_base_keeps_the_matrix_degree(self, monkeypatch, base):
         B = bases()[base]
         assert not B.is_homogeneous()
         MP = matrix_presentation(B, 2)
-        degrees = self.spy_degrees(monkeypatch)
+        calls = spy_completions(monkeypatch)
         for name, e in idempotents(MP):
             edeg = e.degree()
             for d in range(4):
-                degrees.clear()
+                calls.clear()
                 corner_filtered_dims(e, MP, d)
-                assert degrees == [max(d + 2 * edeg, 2, B.max_relation_degree())], (name, d)
+                expected = max(d + 2 * edeg, 2, B.max_relation_degree())
+                assert degrees_of(calls) == [expected], (name, d)

@@ -2,6 +2,7 @@ import contextlib
 import pathlib
 import random
 import signal
+from fractions import Fraction
 
 import pytest
 
@@ -16,7 +17,6 @@ from fpalg import (
     corner_filtered_dims,
     filtered_dimension,
     graded_dimension,
-    groebner,
     is_full_idempotent,
     make_aalpha,
     matrix_presentation,
@@ -27,6 +27,7 @@ from fpalg import (
 )
 from fpalg import morita
 from fpalg.cli import run
+from completion_spy import degrees_of, spy_completions
 from randgen import random_automorphism, random_homogeneous_quadratic
 
 Q = FieldSpec(0)
@@ -222,25 +223,30 @@ class TestFullness:
         assert run(["full", "--n", "2", "--elem", "e11", "--maxdeg", "2"]) == 2
 
     def test_cli_full_completes_one_basis(self, monkeypatch, capsys):
-        degrees = []
-
-        def counting(P, maxdeg):
-            degrees.append(maxdeg)
-            return groebner(P, maxdeg)
-
-        monkeypatch.setattr(morita, "groebner", counting)
+        # the rational base is homogeneous and e11 has no lift: degree d
+        calls = spy_completions(monkeypatch)
         assert run(["full", "--n", "2", "--elem", "e11", "--maxdeg", "3"]) == 0
         assert "re-verified: ok" in capsys.readouterr().out
-        assert degrees == [4]
+        assert degrees_of(calls) == [3]
 
 
 class TestCorner:
     def test_identity_corner_equals_filtration(self):
-        MP = matrix_presentation(rational_base(), 2)
-        one = NCPoly.one(MP.field, MP.num_gens)
-        dims = corner_filtered_dims(one, MP, 4)
-        for c in (2, 3, 4):
-            assert dims[c] == filtered_dimension(MP, c)
+        # both take B's basis from one rule; the homogeneous bases and the
+        # inhomogeneous projector and Weyl algebra check both of its branches
+        bases = [
+            rational_base(),
+            make_aalpha(Scalar.generator(QT, 0)),
+            make_aalpha(Scalar.from_fraction(Q, Fraction(3, 2))),
+            parse_presentation(PROJECTOR.read_text()),
+            parse_presentation("algebra W over Q generators x y relations { x*y - y*x - 1 = 0; }"),
+        ]
+        for B in bases:
+            for n in (1, 2, 3):
+                MP = matrix_presentation(B, n)
+                dims = corner_filtered_dims(NCPoly.one(MP.field, MP.num_gens), MP, 4)
+                for c in (2, 3, 4):
+                    assert dims[c] == filtered_dimension(MP, c), (B.name, n, c)
 
     def test_corner_unit_over_rational_base(self):
         MP = matrix_presentation(rational_base(), 2)

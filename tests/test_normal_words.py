@@ -27,6 +27,7 @@ from fpalg import (
 from fpalg import morita
 from fpalg.rewrite import FactorAvoider, groebner, reduce_by_entries
 from allwords_corner import allwords_corner_dims
+from completion_spy import degrees_of, spy_completions
 from randgen import random_homogeneous_quadratic, random_presentation, simple_scalar
 
 Q = FieldSpec(0)
@@ -135,34 +136,24 @@ class TestCornerWork:
 
 
 class TestFullnessRecheck:
-    def spy_degrees(self, monkeypatch):
-        degrees = []
-
-        def spying(P, maxdeg):
-            degrees.append(maxdeg)
-            return groebner(P, maxdeg)
-
-        monkeypatch.setattr(morita, "groebner", spying)
-        return degrees
-
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_recheck_uses_the_search_degree(self, monkeypatch, d):
         MP = matrix_presentation(bases()["A_t"], 2)
         e = MP.unit(1, 1)
-        degrees = self.spy_degrees(monkeypatch)
+        calls = spy_completions(monkeypatch)
         verdict = is_full_idempotent(e, MP, d)
         assert verdict.full
         assert verify_fullness_certificate(e, MP, verdict.certificate, d)
-        assert len(degrees) == 2
-        assert degrees[1] == degrees[0]
+        assert degrees_of(calls) == [d, d]
 
     def test_longer_certificate_widens_the_basis(self, monkeypatch):
         MP = matrix_presentation(bases()["Q"], 2)
         e = MP.unit(1, 1)
+        # 1 = e11 + e21*e11*e12: the certificate's longest |u| + |v| is 2
         certificate = tuple(is_full_idempotent(e, MP, 3).certificate)
-        degrees = self.spy_degrees(monkeypatch)
+        calls = spy_completions(monkeypatch)
         assert verify_fullness_certificate(e, MP, certificate, 0)
-        assert degrees == [3]
+        assert degrees_of(calls) == [2]
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("base", ["Q", "A_t", "A_alpha"])
