@@ -18,17 +18,18 @@ u*e*v with |u| + |v| <= d finds (see is_full_idempotent for why).
 Every verdict here completes the base B alone, and neither a basis nor
 the relation list of M_n(B) is written down: a MatrixPresentation is the
 pair (B, n).  _matrix reads an element as an n x n matrix over B and
-reduces each entry by B's basis; its guard is on the base degree, the
-number of lifts in a word, since only the entries are reduced.
-matrix_normal_form writes that matrix back in normal words (see its
-docstring for why that is the normal form a completed basis of M_n(B)
-gives).  Corners and fullness never write back: they walk e*w and u*e*v
-as matrices over B, where a unit letter moves a row or a column and a
-lift letter multiplies each entry by its generator and reduces it.
-Corners, fullness and filtered dimensions take B's basis from one rule,
-_walk_basis: on a homogeneous B it is rewrite.graded_basis at the highest
-base degree of an entry the walk reduces, and otherwise the basis the
-normal forms of M_n(B) need at the degree of the walked products.
+reduces each entry by B's basis; the matrix is empty exactly when the
+element is in the ideal, up to the basis's degree (see its docstring).
+Its guard is on the base degree, the number of lifts in a word, since
+only the entries are reduced.  No verdict writes a matrix back in normal
+words: idempotency, corners and fullness walk e*e, e*w and u*e*v as
+matrices over B, where a unit letter moves a row or a column and a lift
+letter multiplies each entry by its generator and reduces it, and e*e = e
+is one test on e's matrix for all three.  Every verdict takes B's basis
+from one rule, _walk_basis: on a homogeneous B it is rewrite.graded_basis
+at the highest base degree of an entry the walk reduces, and otherwise
+the basis the normal forms of M_n(B) need at the degree of the walked
+products.
 """
 
 from __future__ import annotations
@@ -82,7 +83,8 @@ class MatrixPresentation:
         e_11 + ... + e_nn - 1, the commutations z*e_ij - e_ij*z for every
         lift z, and the base relations with base generator k relabelled
         z_(k+1).  No verdict reads it: only the matrix verb renders it, and
-        the tests complete it as the reference for matrix_normal_form.
+        the tests complete it as the reference that _matrix's zero test
+        and the matrix walk are held to.
         """
         n, field, total = self.n, self.field, self.num_gens
         one = Scalar.one(field)
@@ -137,30 +139,24 @@ def matrix_presentation(P, n):
     return MatrixPresentation(P, n)
 
 
-def _base_basis(MP, maxdeg):
-    """B's basis complete to need = max(maxdeg, 2, maximal relation degree
-    of B), which is max(maxdeg, maximal relation degree of M_n(B)): the
-    unit relations have degree 2 and the lifted base relations keep theirs.
-    """
-    B = MP.base
-    return groebner(B, max(maxdeg, 2, B.max_relation_degree()))
-
-
 def _walk_basis(e, MP, d, copies):
     """B's basis for walking products u*e*v, |u| + |v| <= d, with copies
-    factors e: 2 for corners e*w*e, 1 for fullness.  Their entries, and
-    those of e*e, have base degree at most max(d + copies*zdeg(e),
-    2*zdeg(e)), zdeg(e) the most lifts in a word of e: on a homogeneous B
-    that is graded_basis's degree.  Otherwise the basis is the one the
-    normal forms of M_n(B) need at the degree of those products, deg e
-    read as at least 1."""
+    factors e: 2 for corners e*w*e, 1 for fullness, and 0 for idempotency,
+    which walks e*e alone at the budget d.  Their entries, and those of
+    e*e, have base degree at most max(d + copies*zdeg(e), 2*zdeg(e)),
+    zdeg(e) the most lifts in a word of e: on a homogeneous B that is
+    graded_basis's degree.  Otherwise, with D the degree of those products
+    and deg e read as at least 1, so that D >= 2, B is completed to
+    max(D, maximal relation degree of B): the degree the normal forms of
+    M_n(B) need at D, since its unit relations have degree 2 and its lifted
+    base relations keep theirs."""
     B = MP.base
     if B.is_homogeneous():
         nn = MP.n * MP.n
         zdeg = max((sum(g >= nn for g in w) for w in e._terms), default=0)
         return graded_basis(B, max(d + copies * zdeg, 2 * zdeg))
     edeg = max(e.degree(), 1)
-    return _base_basis(MP, max(d + copies * edeg, 2 * edeg))
+    return groebner(B, max(d + copies * edeg, 2 * edeg, B.max_relation_degree()))
 
 
 def _reduced(matrix, MP, base_gb):
@@ -183,53 +179,13 @@ def _matrix(f, MP, base_gb):
     times the product of its units in order, which is 0, the identity or
     one E_ij.  Summing c * b into the entries gives f = sum x_ij E_ij, the
     identity adding to every diagonal entry, and each x_ij is reduced by
-    B's basis.  NF is unique only up to base_gb.complete_to, so the base
-    degree |b| of a word may not pass it.
-    """
-    need = base_gb.complete_to
-    n = MP.n
-    nn = n * n
-    diagonal = range(0, nn, n + 1)
-    matrix = {}
-    for w, c in f._terms.items():
-        unit = -1  # the identity until a unit comes
-        b = []
-        for g in w:
-            if g >= nn:
-                b.append(g - nn)
-            elif unit < 0:
-                unit = g
-            elif unit % n == g // n:
-                unit += g % n - unit % n  # E_(r,s) E_(s,j) = E_(r,j)
-            else:
-                break  # E_(r,s) E_ij = 0 for i != s
-        else:
-            if len(b) > need:
-                raise DegreeBudgetError(f"base degree {len(b)} exceeds verified degree {need}")
-            b = tuple(b)
-            for key in diagonal if unit < 0 else (unit,):
-                entry = matrix.setdefault(key, {})
-                entry[b] = entry[b] + c if b in entry else c
-    return _reduced(matrix, MP, base_gb)
+    B's basis.  NF is unique only up to need = base_gb.complete_to, so the
+    base degree |b| of a word may not pass it.
 
-
-def matrix_normal_form(f, MP, base_gb):
-    """The normal form of f in M_n(B), read off an n x n matrix over B.
-
-    base_gb is B's basis from _base_basis, complete to need; the normal form
-    is the one a basis of M_n(B) complete to need gives, and f may not be of
-    higher degree, where that one is not unique.  _matrix reads f as
-    f = sum x_ij E_ij with each x_ij reduced by B's basis, and the normal
-    form writes that matrix back as
-
-        NF(x11) * 1 + sum_{k>=2} (NF(x_kk) - NF(x11)) * e_kk
-                    + sum_{i != j} NF(x_ij) * e_ij,
-
-    each B-word written back in the lifts, before the unit.  It is 0 when
-    B's basis holds a constant, which reduces every entry to 0.
-
-    Why that is the normal form.  The reduced basis of M_n(B) complete to
-    need, in deglex with the units before the lifts and e11 first, is:
+    Why an empty matrix means f is in the ideal, up to need.  For f of
+    degree <= need, _matrix(f) is empty exactly when f reduces to zero by
+    a basis of M_n(B) complete to need.  That reduced basis, in deglex with
+    the units before the lifts and e11 first, is:
 
     - the unit sum e11 + ... + enn - 1;
     - e_ij*e_kl - delta_jk NF(e_il) for units e_ij, e_kl other than e11,
@@ -274,28 +230,46 @@ def matrix_normal_form(f, MP, base_gb):
     reducing f by it ends at the same normal polynomial.  Moving each unit
     right past the lifts, multiplying the units out, reducing each entry's
     B-words by B's rules and rewriting E_11 is one such way, and it never
-    passes degree need; so the matrix above is that normal form.  Since
-    the mixed overlaps resolve at every degree, the basis resolves all of
-    its overlaps exactly when B's basis does.  Completing the whole matrix
-    presentation to need stays the reference, and the tests compare the
-    two.
+    passes degree need.  It ends at
+
+        NF(x11) * 1 + sum_{k>=2} (NF(x_kk) - NF(x11)) * e_kk
+                    + sum_{i != j} NF(x_ij) * e_ij,
+
+    each B-word written back in the lifts, before the unit.  That
+    write-back is one-to-one on matrices with B-normal entries (x11 is the
+    part without a unit, x_kk - x11 the e_kk part, x_ij the e_ij part), so
+    the normal form is zero exactly when the matrix is empty, and two
+    polynomials share a normal form exactly when they share a matrix.
+    Since the mixed overlaps resolve at every degree, the basis resolves
+    all of its overlaps exactly when B's basis does.  Completing the whole
+    matrix presentation to need stays the reference, and the tests compare
+    the two.
     """
     need = base_gb.complete_to
-    if f.degree() > need:
-        raise DegreeBudgetError(f"degree {f.degree()} exceeds verified degree {need}")
     n = MP.n
     nn = n * n
-    matrix = _matrix(f, MP, base_gb)
-    zero = NCPoly.zero(MP.field, MP.base.num_gens)
-    first = matrix.get(0, zero)
-    for k in range(n + 1, nn, n + 1):  # e22 .. enn
-        matrix[k] = matrix.get(k, zero) - first
-    out = {tuple(nn + g for g in b): c for b, c in first._terms.items()}
-    for unit, entry in matrix.items():
-        if unit:
-            for b, c in entry._terms.items():
-                out[tuple(nn + g for g in b) + (unit,)] = c
-    return NCPoly(MP.field, MP.num_gens, out)
+    diagonal = range(0, nn, n + 1)
+    matrix = {}
+    for w, c in f._terms.items():
+        unit = -1  # the identity until a unit comes
+        b = []
+        for g in w:
+            if g >= nn:
+                b.append(g - nn)
+            elif unit < 0:
+                unit = g
+            elif unit % n == g // n:
+                unit += g % n - unit % n  # E_(r,s) E_(s,j) = E_(r,j)
+            else:
+                break  # E_(r,s) E_ij = 0 for i != s
+        else:
+            if len(b) > need:
+                raise DegreeBudgetError(f"base degree {len(b)} exceeds verified degree {need}")
+            b = tuple(b)
+            for key in diagonal if unit < 0 else (unit,):
+                entry = matrix.setdefault(key, {})
+                entry[b] = entry[b] + c if b in entry else c
+    return _reduced(matrix, MP, base_gb)
 
 
 def filtered_dimension(MP, d):
@@ -306,9 +280,9 @@ def filtered_dimension(MP, d):
     are their own normal forms, so the span dimension equals the count of
     normal words of M_n(B) of length <= d.  Those are the B-normal z-words
     of length <= d, and those of length <= d - 1 followed by one of the
-    n^2 - 1 units other than e11 (see matrix_normal_form), so B's counts
-    b_c give sum_{c<=d} b_c + (n^2 - 1) * sum_{c<=d-1} b_c.  This is the
-    corner of e = 1, and B's basis is the one that corner walks with.
+    n^2 - 1 units other than e11 (see _matrix), so B's counts b_c give
+    sum_{c<=d} b_c + (n^2 - 1) * sum_{c<=d-1} b_c.  This is the corner of
+    e = 1, and B's basis is the one that corner walks with.
     """
     if d < 2:
         raise ValueError("filtration degree must be >= 2")
@@ -326,15 +300,6 @@ def _check_degree(d, verdict):
 def _check_context(e, MP):
     if e.field != MP.field or e.num_gens != MP.num_gens:
         raise MismatchError("element over a different context")
-
-
-def verify_idempotent(e, MP, d):
-    """Exact check of e^2 = e modulo the relations, within the degree budget:
-    matrix_normal_form raises DegreeBudgetError when e*e - e has degree
-    above max(d, 2, maximal relation degree of B)."""
-    _check_degree(d, "idempotent")
-    _check_context(e, MP)
-    return matrix_normal_form(e * e - e, MP, _base_basis(MP, d)).is_zero()
 
 
 # -- the matrix walk ---------------------------------------------------------
@@ -402,11 +367,27 @@ def _span_vector(X, MP):
 
 
 def _idempotent_matrix(e, MP, base_gb):
-    """e as a matrix over B, once e*e = e there; raises ValueError if not."""
+    """e as a matrix over B if e*e = e there, otherwise None: the one
+    idempotency test of idem, corners and fullness."""
     E = _matrix(e, MP, base_gb)
-    if _product(E, E, MP, base_gb) != E:
-        raise ValueError(_NOT_IDEMPOTENT)
-    return E
+    return E if _product(E, E, MP, base_gb) == E else None
+
+
+def verify_idempotent(e, MP, d):
+    """Exact check of e^2 = e modulo the relations, within the degree
+    budget need = max(d, 2, maximal relation degree of B), the degree of
+    M_n(B)'s truncated normal forms.  e*e - e has degree 2*deg e in the
+    free algebra, and above need the check raises DegreeBudgetError before
+    completing anything.  Otherwise _idempotent_matrix decides with B's
+    basis from _walk_basis: complete to need on an inhomogeneous B, and on
+    a homogeneous one graded_basis at the base degree of e*e's entries, or
+    d if that is higher, where the verdict is exact."""
+    _check_degree(d, "idempotent")
+    _check_context(e, MP)
+    need = max(d, 2, MP.base.max_relation_degree())
+    if 2 * e.degree() > need:
+        raise DegreeBudgetError(f"degree {2 * e.degree()} exceeds verified degree {need}")
+    return _idempotent_matrix(e, MP, _walk_basis(e, MP, d, 0)) is not None
 
 
 @dataclass(frozen=True)
@@ -476,6 +457,8 @@ def is_full_idempotent(e, MP, d):
     _check_context(e, MP)
     base_gb = _walk_basis(e, MP, d, 1)
     E = _idempotent_matrix(e, MP, base_gb)
+    if E is None:
+        raise ValueError(_NOT_IDEMPOTENT)
     if e.is_zero():
         raise ValueError("the zero element is never a full idempotent")
 
@@ -523,7 +506,7 @@ def verify_fullness_certificate(e, MP, certificate, d):
 def _normal_words(MP, base_gb, d):
     """The normal words of M_n(B) of each length 0..d: the B-normal z-words
     of length c, from a FactorAvoider over B's leading words, then those of
-    length c - 1 followed by a unit other than e11 (see matrix_normal_form).
+    length c - 1 followed by a unit other than e11 (see _matrix).
     """
     nn = MP.n * MP.n
     lifted = [
@@ -562,6 +545,8 @@ def corner_filtered_dims(e, MP, d):
     _check_context(e, MP)
     base_gb = _walk_basis(e, MP, d, 2)
     E = _idempotent_matrix(e, MP, base_gb)
+    if E is None:
+        raise ValueError(_NOT_IDEMPOTENT)
 
     span = Span()
     dims = []

@@ -1,15 +1,15 @@
-"""The matrix normal form of M_n(B) against the completed matrix presentation.
+"""The matrix reading of M_n(B) against the completed matrix presentation.
 
-morita.matrix_normal_form completes the base B alone and reads an element
-as an n x n matrix over B.  groebner(MP.pres, need), the completion of the
-whole matrix presentation, stays the reference: normal forms of random
-polynomials and of products u*e*v of idempotents, filtered dimensions and
-the normal words behind corner fingerprints must agree with it, for
-n = 1..3 at three degrees each, over the golden inputs, random presentations
-over Q and Q(t1) (inhomogeneous ones included), random homogeneous
-quadratics and the edge bases.  A guard pins that a fullness search
-completes one basis, on B's generators.
-"""
+morita._matrix completes the base B alone and reads an element as an
+n x n matrix over B.  groebner(MP.pres, need), the completion of the whole
+matrix presentation, stays the reference: random polynomials and products
+u*e*v of idempotents must have the matrix of their reference normal form,
+verify_idempotent must agree with the reference normal form of e*e - e,
+and filtered dimensions and the normal words behind corner fingerprints
+must agree with it, for n = 1..3 at three degrees each, over the golden
+inputs, random presentations over Q and Q(t1) (inhomogeneous ones
+included), random homogeneous quadratics and the edge bases.  A guard pins
+that a fullness search completes one basis, on B's generators."""
 
 import pathlib
 import random
@@ -27,6 +27,7 @@ from fpalg import (
     make_aalpha,
     matrix_presentation,
     parse_presentation,
+    verify_idempotent,
 )
 from fpalg import morita, rewrite
 from fpalg.rewrite import FactorAvoider, normal_form
@@ -102,13 +103,18 @@ def test_corpus_covers_the_cases():
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_normal_form_equals_the_completion(name):
+    # the write-back of a matrix with B-normal entries in normal words is
+    # one-to-one, so equal matrices are equal normal forms
     B = CORPUS[name]
     rng = random.Random(name)
     for MP, maxdeg, need in cases(B):
-        base_gb = morita._base_basis(MP, maxdeg)
+        base_gb = rewrite.groebner(MP.base, need)
         ref = rewrite.groebner(MP.pres, need)
-        assert base_gb.complete_to == need
         field, m = MP.pres.field, MP.pres.num_gens
+
+        def matrix(f):
+            return morita._matrix(f, MP, base_gb)
+
         polys = [random_poly(rng, field, m, need, n_terms=5) for _ in range(16)]
         for e in idempotents(MP):
             for _ in range(4):
@@ -118,7 +124,17 @@ def test_normal_form_equals_the_completion(name):
         for f in polys:
             expected = normal_form(f, ref)
             assert expected.verified
-            assert morita.matrix_normal_form(f, MP, base_gb) == expected.poly, (MP.n, maxdeg, f)
+            X = matrix(f)
+            assert X == matrix(expected.poly), (MP.n, maxdeg, f)
+            assert matrix(morita._span_vector(X, MP)) == X
+        for e in idempotents(MP):
+            square = e * e - e
+            if square.degree() > need:
+                with pytest.raises(DegreeBudgetError, match="exceeds verified degree"):
+                    verify_idempotent(e, MP, maxdeg)
+            else:
+                expected = normal_form(square, ref).poly.is_zero()
+                assert verify_idempotent(e, MP, maxdeg) == expected, (MP.n, maxdeg, e)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -128,7 +144,7 @@ def test_basis_equals_the_completion(name):
     B = CORPUS[name]
     for MP, maxdeg, need in cases(B):
         m = MP.pres.num_gens
-        base_gb = morita._base_basis(MP, maxdeg)
+        base_gb = rewrite.groebner(MP.base, need)
         ref = FactorAvoider(m, rewrite.groebner(MP.pres, need).entries())
         levels = morita._normal_words(MP, base_gb, need)
         expected = ref.words_up_to(need)
@@ -137,19 +153,6 @@ def test_basis_equals_the_completion(name):
         d = need - 2
         if d >= 2:
             assert filtered_dimension(MP, d) == ref.count_up_to(d), (MP.n, d)
-
-
-@pytest.mark.parametrize("name", ["aalpha_t", "weyl", "zero-quotient", "no-generators"])
-def test_raises_above_need(name):
-    B = CORPUS[name]
-    for MP, maxdeg, need in cases(B):
-        base_gb = morita._base_basis(MP, maxdeg)
-        field, m = MP.pres.field, MP.pres.num_gens
-        at_need = NCPoly.monomial(field, m, (0,) * need)
-        morita.matrix_normal_form(at_need, MP, base_gb)
-        above = at_need + NCPoly.monomial(field, m, (m - 1,) * (need + 1))
-        with pytest.raises(DegreeBudgetError, match="exceeds verified degree"):
-            morita.matrix_normal_form(above, MP, base_gb)
 
 
 def test_full_completes_only_the_base(monkeypatch):

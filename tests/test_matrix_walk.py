@@ -27,8 +27,9 @@ from fpalg import (
     make_aalpha,
     matrix_presentation,
     parse_presentation,
+    verify_idempotent,
 )
-from fpalg import morita
+from fpalg import morita, rewrite
 from allwords_corner import allwords_corner_dims
 from allwords_fullness import allwords_full_idempotent
 from completion_spy import degrees_of, spy_completions
@@ -95,9 +96,9 @@ def test_fullness_matches_all_words(base, n, corner_depth, full_depth):
 def test_each_step_is_the_matrix_of_the_product(base, n):
     # a letter on either side, a product, and the span vector, against
     # _matrix of the product polynomial; _matrix is held to the completed
-    # matrix presentation through matrix_normal_form in test_matrix_basis
+    # matrix presentation in test_matrix_basis
     MP = matrix_presentation(bases()[base], n)
-    base_gb = morita._base_basis(MP, 4)
+    base_gb = rewrite.groebner(MP.base, 4)
     rng = random.Random(f"{base}:{n}")
     field, m = MP.field, MP.num_gens
 
@@ -113,22 +114,17 @@ def test_each_step_is_the_matrix_of_the_product(base, n):
             assert morita._times_letter(X, g, MP, base_gb, True) == matrix(x * f), g
             assert morita._times_letter(X, g, MP, base_gb, False) == matrix(f * x), g
         assert morita._product(X, matrix(h), MP, base_gb) == matrix(f * h)
-        vector = morita._span_vector(X, MP)
-        assert morita.matrix_normal_form(vector, MP, base_gb) == morita.matrix_normal_form(
-            f, MP, base_gb
-        )
+        assert matrix(morita._span_vector(X, MP)) == X
 
 
 def test_the_walk_guards_the_base_degree():
     # _matrix reduces only the entries, so only the lifts count against the
-    # basis's degree; matrix_normal_form still refuses M_n(B) degree above it
+    # basis's degree
     MP = matrix_presentation(bases()["weyl"], 2)
-    base_gb = morita._base_basis(MP, 2)
+    base_gb = rewrite.groebner(MP.base, 2)
     field, m = MP.field, MP.num_gens
     units = NCPoly.monomial(field, m, (0,) * 5 + (1,))  # e11^5 * e12 = e12
     assert morita._matrix(units, MP, base_gb) == morita._matrix(MP.unit(1, 2), MP, base_gb)
-    with pytest.raises(DegreeBudgetError, match="exceeds verified degree 2"):
-        morita.matrix_normal_form(units, MP, base_gb)
     lifts = NCPoly.monomial(field, m, (0, MP.lift_index(0), MP.lift_index(1), MP.lift_index(0)))
     with pytest.raises(DegreeBudgetError, match="base degree 3 exceeds verified degree 2"):
         morita._matrix(lifts, MP, base_gb)
@@ -163,3 +159,47 @@ class TestCornerDegree:
                 corner_filtered_dims(e, MP, d)
                 expected = max(d + 2 * edeg, 2, B.max_relation_degree())
                 assert degrees_of(calls) == [expected], (name, d)
+
+
+class TestIdempotentDegree:
+    @pytest.mark.parametrize("base", ["Q", "A_t", "A_alpha"])
+    def test_homogeneous_base_completes_to_the_budget(self, monkeypatch, base):
+        # e11 has no lifts, so e*e's entries are constants: graded_basis at
+        # d, with no relation above d
+        MP = matrix_presentation(bases()[base], 2)
+        calls = spy_completions(monkeypatch)
+        for d in range(4):
+            calls.clear()
+            assert verify_idempotent(MP.unit(1, 1), MP, d)
+            assert degrees_of(calls) == [d]
+            assert all(r.degree() <= d for r in calls[0][0].relations)
+
+    def test_a_lift_completes_to_twice_its_degree(self, monkeypatch):
+        # z1's square has an entry of base degree 2, deeper than d = 0, 1
+        MP = matrix_presentation(bases()["A_t"], 2)
+        calls = spy_completions(monkeypatch)
+        for d in range(4):
+            calls.clear()
+            assert not verify_idempotent(MP.lift(0), MP, d)
+            assert degrees_of(calls) == [max(d, 2)]
+
+    @pytest.mark.parametrize("base", ["projector", "weyl"])
+    def test_inhomogeneous_base_keeps_the_matrix_degree(self, monkeypatch, base):
+        B = bases()[base]
+        MP = matrix_presentation(B, 2)
+        calls = spy_completions(monkeypatch)
+        for name, e in idempotents(MP):
+            for d in range(2 * e.degree(), 5):
+                calls.clear()
+                verify_idempotent(e, MP, d)
+                assert degrees_of(calls) == [max(d, 2, B.max_relation_degree())], (name, d)
+
+    @pytest.mark.parametrize("base", ["A_t", "projector"])
+    def test_a_budget_refusal_completes_nothing(self, monkeypatch, base):
+        MP = matrix_presentation(bases()[base], 2)
+        e = MP.unit(1, 1) * MP.lift(0)  # e*e - e has degree 4
+        calls = spy_completions(monkeypatch)
+        for d in range(4):
+            with pytest.raises(DegreeBudgetError, match=f"^degree 4 exceeds verified degree {max(d, 2)}$"):
+                verify_idempotent(e, MP, d)
+        assert calls == []
