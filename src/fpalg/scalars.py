@@ -78,10 +78,9 @@ def _monomial_text(monomial, coeff):
             parts.append(f"t{i + 1}")
         elif e > 1:
             parts.append(f"t{i + 1}^{e}")
-    c = int(coeff)
     if not parts:
-        return str(c)
-    return term_text(c, "*".join(parts))
+        return str(coeff)
+    return term_text(coeff, "*".join(parts))
 
 
 def term_text(coeff, body):
@@ -125,7 +124,7 @@ def _hash_terms(part, k):
     # an int part is the constant polynomial on the zero monomial
     if type(part) is int:
         return (((0,) * k, part),) if part else ()
-    return tuple(sorted((m, int(c)) for m, c in part.items()))
+    return tuple(sorted(part.items()))
 
 
 def _demote(part):
@@ -135,15 +134,15 @@ def _demote(part):
     if not part:
         return 0
     ((monomial, coeff),) = part.items()
-    return part if any(monomial) else int(coeff)
+    return part if any(monomial) else coeff
 
 
 class Scalar:
     """An element of Q(t1,...,tk) in canonical reduced form.
 
-    Numerator and denominator are Python ints when constant and ZPolys
-    otherwise, for every k.  Every method below accepts either form, and a
-    constant ZPoly as well.
+    Numerator and denominator are Python ints exactly when constant and
+    ZPolys otherwise, for every k; every method below relies on that form,
+    which _make builds.
     """
 
     __slots__ = ("field", "_num", "_den")
@@ -228,17 +227,15 @@ class Scalar:
 
     def as_integer(self):
         """The value as a Python int when it is an integer constant, else None."""
-        if self._den != 1:
+        if self._den != 1 or type(self._num) is not int:
             return None
-        return _constant_of(self._num)
+        return self._num
 
     def as_fraction(self):
         """The value as a Fraction when constant, else None."""
-        n = _constant_of(self._num)
-        d = _constant_of(self._den)
-        if n is None or d is None:
+        if type(self._num) is not int or type(self._den) is not int:
             return None
-        return Fraction(n, d)
+        return Fraction(self._num, self._den)
 
     def _polys(self):
         return [p for p in (self._num, self._den) if type(p) is not int]
@@ -330,17 +327,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self}, {self.field})"
-
-
-def _constant_of(poly):
-    if type(poly) is int:
-        return poly
-    if not poly:
-        return 0
-    items = list(poly.items())
-    if len(items) == 1 and not any(items[0][0]):
-        return int(items[0][1])
-    return None
 
 
 def one_like(x):

@@ -21,7 +21,7 @@ from __future__ import annotations
 import re
 
 from .freealg import NCPoly
-from .presentation import Presentation
+from .presentation import Presentation, _check_generator_name
 from .scalars import FieldAutomorphism, FieldSpec, Scalar
 from fractions import Fraction
 
@@ -250,7 +250,11 @@ def parse_poly(text, field, names):
 
 
 def _affine_parts(image, tokens):
-    """Split a scalar into (target index, a, b) for a*t_j + b, a != 0."""
+    """Split a scalar into (target index, a, b) for a*t_j + b, a != 0.
+
+    A ZPoly numerator is nonconstant, so once its monomials of degree 2 or
+    more are refused it has a degree-1 monomial, with a nonzero coefficient.
+    """
     den_c = image._den
     if type(den_c) is not int:
         tokens.error("automorphism image must be affine, not a proper fraction")
@@ -271,8 +275,6 @@ def _affine_parts(image, tokens):
             a = Fraction(coeff, den_c)
         else:
             tokens.error("automorphism image must have degree 1")
-    if target is None or a == 0:
-        tokens.error("automorphism image drops the generator (a = 0)")
     return target, a, b
 
 
@@ -342,6 +344,13 @@ def parse_presentation(text):
     tokens.expect("name", "generators")
     names = []
     while tokens.peek()[0] == "name" and tokens.peek()[1] != "relations":
+        gen = tokens.peek()[1]
+        if gen in names:
+            tokens.error(f"duplicate generator name {gen!r}")
+        try:
+            _check_generator_name(gen)
+        except ValueError as exc:
+            tokens.error(str(exc))
         names.append(tokens.next()[1])
     tokens.expect("name", "relations")
     tokens.expect("sym", "{")
@@ -360,10 +369,7 @@ def parse_presentation(text):
     tokens.expect("sym", "}")
     if tokens.peek()[0] != "eof":
         tokens.error(f"trailing input {tokens.peek()[1]!r}")
-    try:
-        return Presentation(field, tuple(names), tuple(relations), name=name)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+    return Presentation(field, tuple(names), tuple(relations), name=name)
 
 
 def presentation_to_text(P):

@@ -3,9 +3,10 @@
 A ZPoly is a dict from exponent tuple (one entry per generator) to nonzero
 int coefficient, plus the number of generators.  It is never changed after
 it is built, so results may share it.  It has what scalars.py needs and no
-more: ring arithmetic with a ZPoly or an int on either side, ``==`` with an
-int, exact division by an int (``quo_ground``) and the gcd with both
-cofactors (``cofactors``).
+more: ring arithmetic with a ZPoly or an int on either side, exact division
+by an int (``quo_ground``) and the gcd of two nonzero ZPolys with both
+cofactors (``cofactors``).  Equality is the dict's: a ZPoly never equals an
+int, since Scalar holds every constant part as an int.
 
 The gcd is GCDHEU (Char, Geddes and Gonnet, *GCDHEU: heuristic polynomial
 GCD algorithm based on integer GCD computation*, J. Symbolic Comput. 7,
@@ -47,21 +48,6 @@ class ZPoly(dict):
     @classmethod
     def constant(cls, ngens, value):
         return cls(ngens, {(0,) * ngens: value} if value else ())
-
-    # -- comparison ---------------------------------------------------------
-
-    def __eq__(self, other):
-        if type(other) is int:
-            if not other:
-                return not self
-            return len(self) == 1 and self.get((0,) * self.ngens) == other
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
-
-    __hash__ = None
 
     # -- arithmetic -----------------------------------------------------------
 
@@ -144,7 +130,8 @@ class ZPoly(dict):
         return ZPoly(self.ngens, {m: c // divisor for m, c in self.items()})
 
     def cofactors(self, other):
-        """(h, self / h, other / h) with h = gcd(self, other), unique up to sign."""
+        """(h, self / h, other / h) with h = gcd(self, other), unique up to
+        sign, for nonzero self and other."""
         k = self.ngens
         parts = _cofactors(self, other, k)
         if parts is None:
@@ -158,29 +145,14 @@ class ZPoly(dict):
 
 
 def _cofactors(f, g, k):
-    """(h, f/h, g/h) as dicts, with the zero and one-term operands answered
-    directly, or None when GCDHEU gives up."""
-    if not f or not g:
-        if not f and not g:
-            return {}, {}, {}
-        if not f:
-            h, cfg = _positive(g)
-            return h, {}, cfg
-        h, cff = _positive(f)
-        return h, cff, {}
+    """(h, f/h, g/h) as dicts for nonzero f and g, with a one-term operand
+    answered directly, or None when GCDHEU gives up."""
     if len(f) == 1:
         return _gcd_with_term(f, g)
     if len(g) == 1:
         h, cfg, cff = _gcd_with_term(g, f)
         return h, cff, cfg
     return _heugcd(f, g, k)
-
-
-def _positive(f):
-    # (h, unit) with h = unit * f and the lex-leading coefficient of h positive
-    if f[max(f)] > 0:
-        return f, {(0,) * len(next(iter(f))): 1}
-    return {m: -c for m, c in f.items()}, {(0,) * len(next(iter(f))): -1}
 
 
 def _gcd_with_term(f, g):

@@ -219,3 +219,24 @@ class TestValidation:
     def test_transcendental_lookalike_rejected(self):
         with pytest.raises(ValueError):
             Presentation(QT, ("t1",), ())
+
+    def test_invalid_generator_name(self):
+        with pytest.raises(ValueError, match="invalid generator name '1x'"):
+            Presentation(QT, ("1x",), ())
+
+    def test_invalid_algebra_name(self):
+        with pytest.raises(ValueError, match="invalid algebra name '9A'"):
+            Presentation(QT, ("x1",), (), name="9A")
+
+    def test_duplicate_generators(self):
+        with pytest.raises(ValueError, match="duplicate generator names"):
+            Presentation(QT, ("x1", "x2", "x1"), ())
+
+    def test_relation_must_be_ncpoly(self):
+        with pytest.raises(TypeError, match="relations must be NCPoly values"):
+            Presentation(QT, ("x1",), (Scalar.one(QT),))
+
+    def test_relation_over_another_field(self):
+        rel = NCPoly.monomial(FieldSpec(2), 1, (0,), Scalar.one(FieldSpec(2)))
+        with pytest.raises(MismatchError, match="relation over a different context"):
+            Presentation(QT, ("x1",), (rel,))

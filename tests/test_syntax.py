@@ -127,6 +127,16 @@ class TestAutomorphismParsing:
         with pytest.raises(ParseError):
             parse_automorphism("t1 -> t2", field)
 
+    @pytest.mark.parametrize("text, k, message", [
+        ("t1 -> t1 + t2", 2, "line 1, column 14: automorphism image involves two generators"),
+        ("identity x", 1, "line 1, column 10: trailing input after 'identity'"),
+        ("t1 -> t1 + 1, t1 -> 2*t1", 1, "line 1, column 15: duplicate clause for t1"),
+    ])
+    def test_error_message_and_position(self, text, k, message):
+        with pytest.raises(ParseError) as info:
+            parse_automorphism(text, FieldSpec(k))
+        assert str(info.value) == message
+
     def test_roundtrip_random(self):
         rng = random.Random(109)
         field = FieldSpec(3)
@@ -170,6 +180,23 @@ class TestPresentationParsing:
             parse_presentation(
                 "algebra A over Q generators x1 relations { x1 - x1 = 0; }"
             )
+
+    @pytest.mark.parametrize("text, message", [
+        ("algebra A over Q generators x relations { x*x = 1; }",
+         "line 1, column 49: relations must end in '= 0'"),
+        ("algebra A over Q generators x relations { x*x = 0; } x",
+         "line 1, column 54: trailing input 'x'"),
+        ("algebra A over Q generators x\n  y x relations { }",
+         "line 2, column 5: duplicate generator name 'x'"),
+        ("algebra A over Q generators x over relations { }",
+         "line 1, column 31: generator name 'over' is a reserved word"),
+        ("algebra A over Q(t1,t2) generators x t2 relations { }",
+         "line 1, column 38: generator name 't2' collides with transcendental names"),
+    ])
+    def test_error_message_and_position(self, text, message):
+        with pytest.raises(ParseError) as info:
+            parse_presentation(text)
+        assert str(info.value) == message
 
     def test_fieldspec_order_enforced(self):
         with pytest.raises(ParseError):
