@@ -35,6 +35,7 @@ products.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from itertools import chain
 
 from .freealg import NCPoly
 from .presentation import Presentation
@@ -444,6 +445,14 @@ def is_full_idempotent(e, MP, d):
       tags that holds every rank-growing one, so each pivot and its
       combination are the ones the all-words loop finds, and so is every
       certificate.
+    - A unit letter skipped in an extension would give a zero matrix.  With
+      X the matrix of a grown tag, e_ab * X moves row b of X to row a and
+      X * e_ab moves column a to column b, so e_ab * X is zero unless b is
+      a nonzero row of X, and X * e_ab unless a is a nonzero column.  The
+      frontier extends on the left only by those e_ab, on the right only
+      by those, and on both sides by every lift.  A zero insert never grows
+      the rank, so by the point above no skipped tag, and no extension of
+      one, grows it either.
 
     Each insert is the matrix over B of a tag that grew the rank, times
     one letter on the side where the insert extends it: one reduction of
@@ -462,7 +471,7 @@ def is_full_idempotent(e, MP, d):
     if e.is_zero():
         raise ValueError("the zero element is never a full idempotent")
 
-    m = MP.num_gens
+    n, m = MP.n, MP.num_gens
     target = _span_vector(_matrix(NCPoly.one(MP.field, m), MP, base_gb), MP)
     span = Span()
     frontier = {((), ()): E}  # tag (u, v) -> u*e*v as a matrix over B
@@ -483,10 +492,16 @@ def is_full_idempotent(e, MP, d):
             break
         frontier = {}
         for (u, v), X in grown:
-            for x in range(m):
-                for tag, left in ((((x,) + u, v), True), ((u, v + (x,)), False)):
-                    if tag not in frontier:
-                        frontier[tag] = _times_letter(X, x, MP, base_gb, left)
+            rows = {p // n for p in X}
+            cols = {p % n for p in X}
+            for x, left in chain(
+                ((a * n + b, True) for a in range(n) for b in rows),
+                ((a * n + b, False) for a in cols for b in range(n)),
+                ((z, side) for z in range(n * n, m) for side in (True, False)),
+            ):
+                tag = ((x,) + u, v) if left else (u, v + (x,))
+                if tag not in frontier:
+                    frontier[tag] = _times_letter(X, x, MP, base_gb, left)
     return FullnessVerdict(False, d)
 
 
@@ -503,19 +518,21 @@ def verify_fullness_certificate(e, MP, certificate, d):
     return not _matrix(_certificate_residue(e, MP, certificate), MP, base_gb)
 
 
-def _normal_words(MP, base_gb, d):
-    """The normal words of M_n(B) of each length 0..d: the B-normal z-words
-    of length c, from a FactorAvoider over B's leading words, then those of
-    length c - 1 followed by a unit other than e11 (see _matrix).
+def _normal_words(MP, base_gb, d, units):
+    """The normal words of M_n(B) of each length 0..d that end in a lift or
+    in one of units: the B-normal z-words of length c, from a FactorAvoider
+    over B's leading words, then those of length c - 1 followed by each
+    unit of units other than e11 (see _matrix).  With units every unit
+    index, these are all the normal words.
     """
     nn = MP.n * MP.n
+    units = [u for u in units if u]  # e11 is unit index 0
     lifted = [
         [tuple(nn + g for g in b) for b in words]
         for words in FactorAvoider(MP.base.num_gens, base_gb.entries()).words_up_to(d)
     ]
-    # e11 is unit index 0
     return [lifted[0]] + [
-        lifted[c] + [b + (u,) for b in lifted[c - 1] for u in range(1, nn)]
+        lifted[c] + [b + (u,) for b in lifted[c - 1] for u in units]
         for c in range(1, d + 1)
     ]
 
@@ -535,6 +552,15 @@ def corner_filtered_dims(e, MP, d):
     come from _normal_words, and the order they are inserted in does not
     change a span.
 
+    Of the normal words b*e_ij, b a z-word, only those with column i and
+    row j of E, e's matrix, nonzero are built.  The lifts are central, so
+    e*b*e_ij*e is E*b with its column i moved to column j, times E: the
+    product of column i of E*b and row j of E.  Column i of E*b is zero
+    when column i of E is, so every word left out has a zero insert, and a
+    zero insert changes no span.  A word that ends in a unit is the prefix
+    of no longer normal word, so every prefix the walk below reads is
+    still built.
+
     The walk keeps e*w as a matrix over B for each normal word w; its
     prefix w[:-1] is a normal word one shorter, so e*w is that prefix's
     matrix times the letter w[-1].  The insert is the product with e's
@@ -548,10 +574,12 @@ def corner_filtered_dims(e, MP, d):
     if E is None:
         raise ValueError(_NOT_IDEMPOTENT)
 
+    n = MP.n
+    units = [i * n + j for i in {p % n for p in E} for j in {p // n for p in E}]
     span = Span()
     dims = []
     left = {(): E}  # w -> e*w as a matrix over B
-    for words in _normal_words(MP, base_gb, d):
+    for words in _normal_words(MP, base_gb, d, units):
         for w in words:
             if w not in left:
                 left[w] = _times_letter(left[w[:-1]], w[-1], MP, base_gb, False)

@@ -249,17 +249,22 @@ def parse_poly(text, field, names):
 # ---------------------------------------------------------------------------
 
 
-def _affine_parts(image, tokens):
-    """Split a scalar into (target index, a, b) for a*t_j + b, a != 0.
+def _affine_parts(image, where):
+    """Split a scalar into (target index, a, b) for a*t_j + b, a != 0, or
+    raise a ParseError at where, the image's first token.
 
     A ZPoly numerator is nonconstant, so once its monomials of degree 2 or
     more are refused it has a degree-1 monomial, with a nonzero coefficient.
     """
+
+    def error(message):
+        raise ParseError(message, where[2], where[3])
+
     den_c = image._den
     if type(den_c) is not int:
-        tokens.error("automorphism image must be affine, not a proper fraction")
+        error("automorphism image must be affine, not a proper fraction")
     if type(image._num) is int:
-        tokens.error("automorphism image drops the generator (a = 0)")
+        error("automorphism image drops the generator (a = 0)")
     target = None
     a = Fraction(0)
     b = Fraction(0)
@@ -270,12 +275,15 @@ def _affine_parts(image, tokens):
         elif degree == 1:
             j = next(i for i, e in enumerate(mon) if e)
             if target is not None:
-                tokens.error("automorphism image involves two generators")
+                error("automorphism image involves two generators")
             target = j
             a = Fraction(coeff, den_c)
         else:
-            tokens.error("automorphism image must have degree 1")
+            error("automorphism image must have degree 1")
     return target, a, b
+
+
+_NOT_PERMUTATION = "generator targets do not form a permutation"
 
 
 def parse_automorphism(text, field):
@@ -287,24 +295,30 @@ def parse_automorphism(text, field):
         return FieldAutomorphism.identity(field)
     k = field.num_generators
     images = {}
+    taken = {}  # target index -> first token of the image that took it
     while True:
         name = tokens.expect("name")
         src = _tvar_index(name[1], field, tokens)
         if src in images:
             raise ParseError(f"duplicate clause for t{src + 1}", name[2], name[3])
         tokens.expect("arrow")
-        image = _parse_scalar_expr(tokens, field)
-        images[src] = _affine_parts(image, tokens)
+        where = tokens.peek()
+        images[src] = _affine_parts(_parse_scalar_expr(tokens, field), where)
+        target = images[src][0]
+        if target in taken:
+            raise ParseError(_NOT_PERMUTATION, where[2], where[3])
+        taken[target] = where
         if tokens.peek()[1] != ",":
             break
         tokens.next()
     if tokens.peek()[0] != "eof":
         tokens.error(f"trailing input {tokens.peek()[1]!r}")
+    # a generator without a clause keeps itself as its target
+    for target, where in taken.items():
+        if target not in images:
+            raise ParseError(_NOT_PERMUTATION, where[2], where[3])
     forward = [images.get(i, (i, Fraction(1), Fraction(0))) for i in range(k)]
-    try:
-        return FieldAutomorphism.from_images(field, forward)
-    except ValueError as exc:
-        raise ParseError(str(exc), 1, 1) from None
+    return FieldAutomorphism.from_images(field, forward)
 
 
 # ---------------------------------------------------------------------------

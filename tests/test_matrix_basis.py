@@ -146,7 +146,7 @@ def test_basis_equals_the_completion(name):
         m = MP.pres.num_gens
         base_gb = rewrite.groebner(MP.base, need)
         ref = FactorAvoider(m, rewrite.groebner(MP.pres, need).entries())
-        levels = morita._normal_words(MP, base_gb, need)
+        levels = morita._normal_words(MP, base_gb, need, range(MP.n * MP.n))
         expected = ref.words_up_to(need)
         assert [set(words) for words in levels] == [set(words) for words in expected]
         assert [len(words) for words in levels] == [len(words) for words in expected]

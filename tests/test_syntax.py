@@ -128,9 +128,16 @@ class TestAutomorphismParsing:
             parse_automorphism("t1 -> t2", field)
 
     @pytest.mark.parametrize("text, k, message", [
-        ("t1 -> t1 + t2", 2, "line 1, column 14: automorphism image involves two generators"),
+        ("t1 -> t1 + t2", 2, "line 1, column 7: automorphism image involves two generators"),
+        ("t1 -> t1^2", 1, "line 1, column 7: automorphism image must have degree 1"),
+        ("t1 -> 1/t1", 1,
+         "line 1, column 7: automorphism image must be affine, not a proper fraction"),
         ("identity x", 1, "line 1, column 10: trailing input after 'identity'"),
         ("t1 -> t1 + 1, t1 -> 2*t1", 1, "line 1, column 15: duplicate clause for t1"),
+        # a target an earlier clause took, and one an unlisted generator keeps
+        ("t1 -> t1,\n t2 -> t1", 2,
+         "line 2, column 8: generator targets do not form a permutation"),
+        ("t1 -> t2", 2, "line 1, column 7: generator targets do not form a permutation"),
     ])
     def test_error_message_and_position(self, text, k, message):
         with pytest.raises(ParseError) as info:
