@@ -3,48 +3,30 @@
 Exit codes: 0 success, 1 parse error, 2 semantic error, 3 verdict undecided
 at the requested bound.  Output is deterministic; --emit data switches any
 command to a stable JSON rendering.
+
+A process pays only for its verb: a command line that names a verb builds
+that verb's parser alone, and each handler imports the engine module
+(rewrite, morita or aalpha) it calls when it runs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 
-from .aalpha import (
-    decide_form_congruence,
-    iso_witness,
-    orbit_sample,
-    search_iso_degree2,
-    verify_iso_witness,
-)
-from .morita import (
-    DegreeBudgetError,
-    _check_degree,
-    corner_filtered_dims,
-    is_full_idempotent,
-    matrix_presentation,
-    verify_idempotent,
-)
 from .presentation import (
     Presentation,
     canonicalize,
     transcendental_support,
     twist,
 )
-from .rewrite import (
-    groebner,
-    hilbert_series,
-    ideal_membership,
-    is_generating,
-    normal_form,
-)
-from .scalars import FieldSpec, MismatchError, signed_sum_text, term_text
+from .scalars import DegreeBudgetError, FieldSpec, MismatchError, signed_sum_text, term_text
 from .syntax import (
     ParseError,
     parse_automorphism,
     parse_poly,
+    parse_poly_with,
     parse_presentation,
     parse_scalar,
     poly_to_data,
@@ -57,118 +39,123 @@ SEMANTIC_ERROR = 2
 UNDECIDED = 3
 
 
-def _add_input_options(sub):
-    group = sub.add_mutually_exclusive_group(required=True)
-    group.add_argument("--file", help="presentation file")
-    group.add_argument("--pres", help="inline presentation text")
+def _required(flag, **kwargs):
+    return flag, {"required": True, **kwargs}
 
 
-def _add_base_options(sub):
+_MAXDEG = _required("--maxdeg", type=int)
+_N = _required("--n", type=int)
+
+# Each verb's help, the presentation options it reads first (see _GROUPS),
+# and its further options.  Every option takes one value.
+_VERBS = {
+    "parse": ("validate a presentation and report its shape", "input", ()),
+    "print": ("canonical form of a presentation", "input", ()),
+    "support": ("transcendentals occurring in the coefficients", "input", ()),
+    "canonicalize": ("rename the occurring transcendentals onto t1..tr", "input", ()),
+    "twist": ("twist by a field automorphism", "input",
+              (_required("--auto", help="automorphism clauses"),)),
+    "gb": ("truncated Groebner basis", "input", (_MAXDEG,)),
+    "nf": ("normal form of a polynomial", "input", (_MAXDEG, _required("--expr"))),
+    "hilbert": ("graded dimensions up to a degree", "input", (_required("--upto", type=int),)),
+    "member": ("ideal membership of a polynomial", "input", (_required("--expr"), _MAXDEG)),
+    "generates": ("do the elements generate the quotient", "input",
+                  (_required("--elems", help="semicolon-separated polynomials"), _MAXDEG)),
+    "aalpha-iso": ("isomorphism within the quadratic family", None, (
+        _required("--alpha"),
+        _required("--beta"),
+        ("--k", {"type": int, "help": "transcendental count"}),
+    )),
+    "aalpha-oracle": ("finite-field congruence search", None, (
+        _required("--p", type=int), _required("--alpha", type=int), _required("--beta", type=int),
+    )),
+    "aalpha-orbit": ("parameter orbit under automorphisms", None, (
+        _required("--alpha"),
+        _required("--autos", help="semicolon-separated automorphisms"),
+        ("--k", {"type": int}),
+    )),
+    "matrix": ("matrix presentation over a base", "base", (_N,)),
+    "idem": ("verify an idempotent", "base", (_N, _required("--check"), _MAXDEG)),
+    "full": ("full-idempotent semidecision", "base", (_N, _required("--elem"), _MAXDEG)),
+    "corner": ("corner algebra dimension fingerprint", "base",
+               (_N, _required("--elem"), _required("--upto", type=int))),
+}
+
+# mutually exclusive presentation options: (required, options)
+_GROUPS = {
+    "input": (True, (
+        ("--file", {"help": "presentation file"}),
+        ("--pres", {"help": "inline presentation text"}),
+    )),
     # the base presentation of a matrix construction; rational base when absent
-    group = sub.add_mutually_exclusive_group(required=False)
-    group.add_argument("--base", dest="file", help="base presentation file")
-    group.add_argument("--pres", help="inline base presentation text")
+    "base": (False, (
+        ("--base", {"dest": "file", "help": "base presentation file"}),
+        ("--pres", {"help": "inline base presentation text"}),
+    )),
+}
 
 
-def _add_emit(sub):
+def _options(verb):
+    """The option strings of verb, in the order its parser adds them."""
+    _, group, options = _VERBS[verb]
+    grouped = _GROUPS[group][1] if group else ()
+    return [flag for flag, _ in (*grouped, *options)] + ["--emit"]
+
+
+def _add_verb(subs, verb):
+    doc, group, options = _VERBS[verb]
+    sub = subs.add_parser(verb, help=doc)
+    if group is not None:
+        required, grouped = _GROUPS[group]
+        exclusive = sub.add_mutually_exclusive_group(required=required)
+        for flag, kwargs in grouped:
+            exclusive.add_argument(flag, **kwargs)
+    for flag, kwargs in options:
+        sub.add_argument(flag, **kwargs)
     sub.add_argument("--emit", choices=("text", "data"), default="text")
 
 
-def _build_parser():
+def _build_parser(verb=None):
+    """The parser with verb's subparser alone, or with every verb's when
+    verb is None.  The verb list is spelled out either way, so usage lines
+    and errors read the same."""
     parser = argparse.ArgumentParser(
         prog="fpalg",
         description="Exact workbench for finitely presented associative algebras",
     )
-    subs = parser.add_subparsers(dest="verb", required=True)
-
-    for verb, doc in (
-        ("parse", "validate a presentation and report its shape"),
-        ("print", "canonical form of a presentation"),
-        ("support", "transcendentals occurring in the coefficients"),
-        ("canonicalize", "rename the occurring transcendentals onto t1..tr"),
-    ):
-        sub = subs.add_parser(verb, help=doc)
-        _add_input_options(sub)
-        _add_emit(sub)
-
-    sub = subs.add_parser("twist", help="twist by a field automorphism")
-    _add_input_options(sub)
-    sub.add_argument("--auto", required=True, help="automorphism clauses")
-    _add_emit(sub)
-
-    sub = subs.add_parser("gb", help="truncated Groebner basis")
-    _add_input_options(sub)
-    sub.add_argument("--maxdeg", type=int, required=True)
-    _add_emit(sub)
-
-    sub = subs.add_parser("nf", help="normal form of a polynomial")
-    _add_input_options(sub)
-    sub.add_argument("--maxdeg", type=int, required=True)
-    sub.add_argument("--expr", required=True)
-    _add_emit(sub)
-
-    sub = subs.add_parser("hilbert", help="graded dimensions up to a degree")
-    _add_input_options(sub)
-    sub.add_argument("--upto", type=int, required=True)
-    _add_emit(sub)
-
-    sub = subs.add_parser("member", help="ideal membership of a polynomial")
-    _add_input_options(sub)
-    sub.add_argument("--expr", required=True)
-    sub.add_argument("--maxdeg", type=int, required=True)
-    _add_emit(sub)
-
-    sub = subs.add_parser("generates", help="do the elements generate the quotient")
-    _add_input_options(sub)
-    sub.add_argument("--elems", required=True, help="semicolon-separated polynomials")
-    sub.add_argument("--maxdeg", type=int, required=True)
-    _add_emit(sub)
-
-    sub = subs.add_parser("aalpha-iso", help="isomorphism within the quadratic family")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--beta", required=True)
-    sub.add_argument("--k", type=int, default=None, help="transcendental count")
-    _add_emit(sub)
-
-    sub = subs.add_parser("aalpha-oracle", help="finite-field congruence search")
-    sub.add_argument("--p", type=int, required=True)
-    sub.add_argument("--alpha", type=int, required=True)
-    sub.add_argument("--beta", type=int, required=True)
-    _add_emit(sub)
-
-    sub = subs.add_parser("aalpha-orbit", help="parameter orbit under automorphisms")
-    sub.add_argument("--alpha", required=True)
-    sub.add_argument("--autos", required=True, help="semicolon-separated automorphisms")
-    sub.add_argument("--k", type=int, default=None)
-    _add_emit(sub)
-
-    sub = subs.add_parser("matrix", help="matrix presentation over a base")
-    _add_base_options(sub)
-    sub.add_argument("--n", type=int, required=True)
-    _add_emit(sub)
-
-    sub = subs.add_parser("idem", help="verify an idempotent")
-    _add_base_options(sub)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--check", required=True)
-    sub.add_argument("--maxdeg", type=int, required=True)
-    _add_emit(sub)
-
-    sub = subs.add_parser("full", help="full-idempotent semidecision")
-    _add_base_options(sub)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--elem", required=True)
-    sub.add_argument("--maxdeg", type=int, required=True)
-    _add_emit(sub)
-
-    sub = subs.add_parser("corner", help="corner algebra dimension fingerprint")
-    _add_base_options(sub)
-    sub.add_argument("--n", type=int, required=True)
-    sub.add_argument("--elem", required=True)
-    sub.add_argument("--upto", type=int, required=True)
-    _add_emit(sub)
-
+    subs = parser.add_subparsers(
+        dest="verb", required=True, metavar="{" + ",".join(_VERBS) + "}" if verb else None
+    )
+    for name in [verb] if verb else _VERBS:
+        _add_verb(subs, name)
     return parser
+
+
+def _dash_values(argv, verb):
+    """argv with each value that begins with '-' glued to its option as
+    --option=value, so that argparse reads `--expr -x1` and `--beta -t` as
+    values.  Only a value after one of verb's options, named in full or by
+    a unique prefix as argparse allows, is glued; -h and tokens that begin
+    with '--' keep their meaning."""
+    options = _options(verb) if verb else []
+    out = []
+    k = 0
+    while k < len(argv):
+        token = argv[k]
+        value = argv[k + 1] if k + 1 < len(argv) else ""
+        if (
+            token.startswith("--")
+            and value.startswith("-")
+            and not value.startswith("--")
+            and value != "-h"
+            and (token in options or len([o for o in options if o.startswith(token)]) == 1)
+        ):
+            out.append(f"{token}={value}")
+            k += 2
+        else:
+            out.append(token)
+            k += 1
+    return out
 
 
 def _load_presentation(args):
@@ -197,9 +184,10 @@ def _detect_field(texts, override):
     return FieldSpec(k)
 
 
-def _certificate_text(certificate, names):
+def _certificate_text(certificate, MP):
+    name = MP.generator_name
     return signed_sum_text([
-        term_text(coeff, "*".join([*(names[g] for g in u), "e", *(names[g] for g in v)]))
+        term_text(coeff, "*".join([*map(name, u), "e", *map(name, v)]))
         for (u, v), coeff in certificate
     ])
 
@@ -244,6 +232,8 @@ def _cmd_twist(args):
 
 
 def _cmd_gb(args):
+    from .rewrite import groebner
+
     P = _load_presentation(args)
     gb = groebner(P, args.maxdeg)
     payload = {
@@ -256,6 +246,8 @@ def _cmd_gb(args):
 
 
 def _cmd_nf(args):
+    from .rewrite import groebner, normal_form
+
     P = _load_presentation(args)
     f = parse_poly(args.expr, P.field, P.generators)
     gb = groebner(P, args.maxdeg)
@@ -268,6 +260,8 @@ def _cmd_nf(args):
 
 
 def _cmd_hilbert(args):
+    from .rewrite import hilbert_series
+
     if args.upto < 0:
         raise ValueError("--upto must be >= 0")
     dims = hilbert_series(_load_presentation(args), args.upto)
@@ -275,6 +269,8 @@ def _cmd_hilbert(args):
 
 
 def _cmd_member(args):
+    from .rewrite import ideal_membership
+
     P = _load_presentation(args)
     f = parse_poly(args.expr, P.field, P.generators)
     verdict = ideal_membership(f, P, args.maxdeg)
@@ -284,6 +280,8 @@ def _cmd_member(args):
 
 
 def _cmd_generates(args):
+    from .rewrite import is_generating
+
     P = _load_presentation(args)
     elems = [
         parse_poly(part, P.field, P.generators)
@@ -296,6 +294,8 @@ def _cmd_generates(args):
 
 
 def _cmd_aalpha_iso(args):
+    from .aalpha import decide_form_congruence, iso_witness, verify_iso_witness
+
     field = _detect_field([args.alpha, args.beta], args.k)
     alpha = parse_scalar(args.alpha, field)
     beta = parse_scalar(args.beta, field)
@@ -314,6 +314,8 @@ def _cmd_aalpha_iso(args):
 
 
 def _cmd_aalpha_oracle(args):
+    from .aalpha import search_iso_degree2
+
     witness = search_iso_degree2(args.alpha, args.beta, args.p)
     if witness is None:
         return 0, {"found": False}, ["absent"]
@@ -327,6 +329,8 @@ def _cmd_aalpha_oracle(args):
 
 
 def _cmd_aalpha_orbit(args):
+    from .aalpha import orbit_sample
+
     auto_texts = [part for part in args.autos.split(";") if part.strip()]
     field = _detect_field([args.alpha, *auto_texts], args.k)
     alpha = parse_scalar(args.alpha, field)
@@ -336,40 +340,49 @@ def _cmd_aalpha_orbit(args):
 
 
 def _cmd_matrix(args):
+    from .morita import matrix_presentation
+
     return _presentation_result(matrix_presentation(_load_base(args), args.n).pres)
 
 
 def _matrix_element(args, text, degree, verdict):
-    """M_n over the base of args, text parsed as one of its elements, and
-    the generator names it was parsed with.  A negative degree for the
-    verdict fails first, before the n^2 + k names are built."""
+    """M_n over the base of args and text parsed as one of its elements,
+    after a negative degree for the verdict has failed.  Names are looked
+    up by their spelling, so the n^2 + k generator names are never built."""
+    from .morita import _check_degree, matrix_presentation
+
     MP = matrix_presentation(_load_base(args), args.n)
     _check_degree(degree, verdict)
-    names = MP.generators
-    return MP, parse_poly(text, MP.field, names), names
+    return MP, parse_poly_with(text, MP.field, MP.generator_index, MP.num_gens)
 
 
 def _cmd_idem(args):
-    MP, e, _ = _matrix_element(args, args.check, args.maxdeg, "idempotent")
+    from .morita import verify_idempotent
+
+    MP, e = _matrix_element(args, args.check, args.maxdeg, "idempotent")
     ok = verify_idempotent(e, MP, args.maxdeg)
     line = "idempotent" if ok else f"not-idempotent (tested to degree {args.maxdeg})"
     return 0, {"idempotent": ok, "bound": args.maxdeg}, [line]
 
 
 def _cmd_full(args):
-    MP, e, names = _matrix_element(args, args.elem, args.maxdeg, "fullness")
+    from .morita import is_full_idempotent
+
+    MP, e = _matrix_element(args, args.elem, args.maxdeg, "fullness")
     # a full verdict comes back only once its certificate reduced to zero
     verdict = is_full_idempotent(e, MP, args.maxdeg)
     if not verdict.full:
         return UNDECIDED, {"full": False, "bound": verdict.bound}, [str(verdict)]
-    text = _certificate_text(verdict.certificate, names)
+    text = _certificate_text(verdict.certificate, MP)
     payload = {"full": True, "bound": verdict.bound, "certificate": text, "reverified": True}
     lines = [f"full at {verdict.bound}", f"certificate: {text}", "re-verified: ok"]
     return 0, payload, lines
 
 
 def _cmd_corner(args):
-    MP, e, _ = _matrix_element(args, args.elem, args.upto, "corner")
+    from .morita import corner_filtered_dims
+
+    MP, e = _matrix_element(args, args.elem, args.upto, "corner")
     dims = corner_filtered_dims(e, MP, args.upto)
     return 0, {"dims": dims}, [f"{c} {dim}" for c, dim in enumerate(dims)]
 
@@ -396,8 +409,10 @@ _HANDLERS = {
 
 
 def run(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a command line that names a verb builds and parses that verb alone
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = _build_parser(verb).parse_args(_dash_values(argv, verb))
     try:
         code, payload, lines = _HANDLERS[args.verb](args)
     except ParseError as exc:
@@ -416,6 +431,8 @@ def run(argv=None):
         for line in lines:
             print(line)
     else:
+        import json
+
         print(json.dumps(payload, sort_keys=True))
     return code
 

@@ -40,11 +40,7 @@ from itertools import chain
 from .freealg import NCPoly
 from .presentation import Presentation
 from .rewrite import FactorAvoider, Span, graded_basis, groebner, reduce_by_entries
-from .scalars import FieldSpec, MismatchError, Scalar
-
-
-class DegreeBudgetError(ValueError):
-    """A verification could not be completed within the degree bound."""
+from .scalars import DegreeBudgetError, FieldSpec, MismatchError, Scalar
 
 
 _NOT_IDEMPOTENT = "element is not an idempotent modulo the relations"
@@ -72,9 +68,31 @@ class MatrixPresentation:
 
     @property
     def generators(self):
+        return tuple(self.generator_name(g) for g in range(self.num_gens))
+
+    def generator_name(self, g):
+        """The name of generator g: e_ij as _unit_name spells it, or z_k."""
+        nn = self.n * self.n
+        if g >= nn:
+            return f"z{g - nn + 1}"
+        i, j = divmod(g, self.n)
+        return _unit_name(i + 1, j + 1, self.n)
+
+    def generator_index(self, name):
+        """The index of the generator called name, or None when no generator
+        is: read off name's digits, then held to generator_name's spelling,
+        so no list of the n^2 + k names is built."""
         n = self.n
-        names = [_unit_name(i, j, n) for i in range(1, n + 1) for j in range(1, n + 1)]
-        return tuple(names + [f"z{k + 1}" for k in range(self.base.num_gens)])
+        digits = name[1:]
+        try:
+            if name[:1] == "z":
+                g = n * n + int(digits) - 1
+            else:
+                i, j = (digits[:1], digits[1:]) if n <= 9 else digits.split("_")
+                g = (int(i) - 1) * n + int(j) - 1
+        except ValueError:
+            return None
+        return g if 0 <= g < self.num_gens and self.generator_name(g) == name else None
 
     @property
     def pres(self):

@@ -42,6 +42,10 @@ class MismatchError(ValueError):
     """Raised when operands live over different coefficient fields."""
 
 
+class DegreeBudgetError(ValueError):
+    """A verification could not be completed within the degree bound."""
+
+
 @dataclass(frozen=True)
 class FieldSpec:
     """The coefficient field Q(t1,...,tk); k = 0 means plain Q."""

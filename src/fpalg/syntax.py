@@ -187,14 +187,13 @@ def parse_scalar(text, field):
 _POLY_STOP = {"=", ";", "}", ")", ""}
 
 
-def _parse_poly(tokens, field, names):
-    index = {n: i for i, n in enumerate(names)}
-    total = NCPoly.zero(field, len(names))
+def _parse_poly(tokens, field, index_of, num_gens):
+    total = NCPoly.zero(field, num_gens)
     sign = 1
     if tokens.peek()[1] in ("+", "-"):
         sign = -1 if tokens.next()[1] == "-" else 1
     while True:
-        term = _parse_poly_term(tokens, field, index, len(names))
+        term = _parse_poly_term(tokens, field, index_of, num_gens)
         total = total - term if sign < 0 else total + term
         nxt = tokens.peek()[1]
         if nxt in _POLY_STOP:
@@ -208,7 +207,7 @@ def _parse_poly(tokens, field, names):
         tokens.next()
 
 
-def _parse_poly_term(tokens, field, index, num_gens):
+def _parse_poly_term(tokens, field, index_of, num_gens):
     coeff = Scalar.one(field)
     word = []
     while True:
@@ -221,10 +220,11 @@ def _parse_poly_term(tokens, field, index, num_gens):
             coeff = coeff * _parse_scalar_expr(tokens, field)
             tokens.expect("sym", ")")
         elif kind == "name":
-            if value not in index:
+            g = index_of(value)
+            if g is None:
                 raise ParseError(f"undeclared generator {value!r}", line, col)
             tokens.next()
-            word.append(index[value])
+            word.append(g)
         else:
             raise ParseError(f"expected a term factor, found {value!r}", line, col)
         if tokens.peek()[1] == "*":
@@ -237,8 +237,16 @@ def _parse_poly_term(tokens, field, index, num_gens):
 
 
 def parse_poly(text, field, names):
+    """The polynomial text over field in the generators names, in index order."""
+    names = tuple(names)
+    return parse_poly_with(text, field, {n: i for i, n in enumerate(names)}.get, len(names))
+
+
+def parse_poly_with(text, field, index_of, num_gens):
+    """The polynomial text over field in num_gens generators, where
+    index_of(name) is the index of the generator called name, or None."""
     tokens = _Tokens(text)
-    poly = _parse_poly(tokens, field, tuple(names))
+    poly = _parse_poly(tokens, field, index_of, num_gens)
     if tokens.peek()[0] != "eof":
         tokens.error(f"trailing input {tokens.peek()[1]!r}")
     return poly
@@ -368,10 +376,11 @@ def parse_presentation(text):
         names.append(tokens.next()[1])
     tokens.expect("name", "relations")
     tokens.expect("sym", "{")
+    index_of = {n: i for i, n in enumerate(names)}.get
     relations = []
     while tokens.peek()[1] != "}":
         where = tokens.peek()
-        poly = _parse_poly(tokens, field, tuple(names))
+        poly = _parse_poly(tokens, field, index_of, len(names))
         tokens.expect("sym", "=")
         zero = tokens.expect("int")
         if zero[1] != "0":

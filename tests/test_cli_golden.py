@@ -73,14 +73,15 @@ def test_type_error_in_a_handler_propagates(monkeypatch):
 
 
 def test_aalpha_iso_rechecks_its_witness(monkeypatch):
-    # a wrong witness must not be printed as ISO
-    from fpalg import cli
+    # a wrong witness must not be printed as ISO; the handler reads
+    # iso_witness from fpalg.aalpha when it runs
+    from fpalg import aalpha
 
     def wrong(alpha, beta):
         x1 = fpalg.NCPoly.gen(alpha.field, 2, 0)
         return (x1, x1)
 
-    monkeypatch.setattr(cli, "iso_witness", wrong)
+    monkeypatch.setattr(aalpha, "iso_witness", wrong)
     code, out, err = run_cli(["aalpha-iso", "--alpha", "t", "--beta=-t"])
     assert code == 2
     assert "ISO" not in out
@@ -125,6 +126,35 @@ def test_negative_degree_fails_before_the_matrix_names(argv, verdict, monkeypatc
     monkeypatch.setattr(fpalg.MatrixPresentation, "generators", property(generators))
     code, out, err = run_cli(argv)
     assert (code, out, err) == (2, "", f"error: {verdict} degree must be >= 0\n")
+    assert reads == []
+
+
+MATRIX_ELEMENT_CASES = [c for c in CASES if c["argv"][0] in ("idem", "full", "corner")]
+
+
+@pytest.mark.parametrize("case", MATRIX_ELEMENT_CASES, ids=[c["name"] for c in MATRIX_ELEMENT_CASES])
+def test_matrix_verbs_never_list_the_generator_names(case, monkeypatch):
+    # names are resolved by their spelling and the certificate names only
+    # the letters it prints, so no verb builds the n^2 + k names
+    def generators(MP):
+        raise AssertionError(f"M_{MP.n} generator names built")
+
+    monkeypatch.setattr(fpalg.MatrixPresentation, "generators", property(generators))
+    code, out, _ = run_cli(substituted(case))
+    assert code == case["exit"]
+    assert out == (GOLDEN / f"{case['name']}.out").read_text()
+
+
+def test_a_unit_at_n_1000_costs_no_names(monkeypatch):
+    reads = []
+    monkeypatch.setattr(
+        fpalg.MatrixPresentation, "generators", property(lambda MP: reads.append(MP.n))
+    )
+    argv = ["idem", "--n", "1000", "--check", "e1_1 - e1000_1000 + e1000_1000", "--maxdeg", "2"]
+    assert run_cli(argv) == (0, "idempotent\n", "")
+    assert run_cli(["idem", "--n", "1000", "--check", "e11", "--maxdeg", "2"]) == (
+        1, "", "parse error: line 1, column 1: undeclared generator 'e11'\n"
+    )
     assert reads == []
 
 

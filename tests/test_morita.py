@@ -91,6 +91,22 @@ class TestConstruction:
         assert MP.pres.relations[-1] == NCPoly.one(Q, 4)
         assert_views_match_pres(Presentation(Q, (), (one,)))
 
+    @pytest.mark.parametrize("n, k", [(1, 0), (2, 1), (9, 2), (10, 0), (12, 3)])
+    def test_names_are_looked_up_by_their_spelling(self, n, k):
+        B = Presentation(Q, tuple(f"x{i + 1}" for i in range(k)), ())
+        MP = matrix_presentation(B, n)
+        names = MP.generators
+        assert [MP.generator_name(g) for g in range(MP.num_gens)] == list(names)
+        index = {name: g for g, name in enumerate(names)}
+        near = [
+            "e", "z", "x1", "e0", "z0", "z01", "e01", "e10", "e1_01", "e01_1", "e1__1",
+            "e1_1_1", "e1_", "e_1", "e+1_1", "z+1", "z1_0", "e1_1", "e11", "e99", "e1_10",
+            f"e{n}{n}", f"e{n}_{n}", f"e{n + 1}1", f"e1{n + 1}", f"e{n + 1}_1", f"e1_{n + 1}",
+            f"z{k}", f"z{k + 1}", "z" + "9" * 5000, "e\u0661\u0661", "E11", "e1 1",
+        ]
+        for name in [*names, *near]:
+            assert MP.generator_index(name) == index.get(name), name
+
     def test_size_validation(self):
         with pytest.raises(ValueError):
             matrix_presentation(rational_base(), 0)
