@@ -27,14 +27,15 @@ and over every odd prime field.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .freealg import NCPoly
 from .presentation import Presentation
 from .rewrite import _generating_by, graded_basis, normal_form
 from .scalars import (
     ModScalar,
     Scalar,
+    _check_modulus,
+    _Record,
+    _set,
     apply_automorphism,
     one_like,
     zero_like,
@@ -66,25 +67,28 @@ def mat2_scale(c, A):
     return ((c * A[0][0], c * A[0][1]), (c * A[1][0], c * A[1][1]))
 
 
-@dataclass(frozen=True)
-class CongruenceWitness:
+class CongruenceWitness(_Record):
     """An invertible change of basis Q and a nonzero scale gamma."""
 
-    q: tuple
-    gamma: object
+    __slots__ = _fields = ("q", "gamma")
 
-    def __post_init__(self):
-        if not mat2_det(self.q):
+    def __init__(self, q, gamma):
+        if not mat2_det(q):
             raise ValueError("witness matrix must be nonsingular")
-        if not self.gamma:
+        if not gamma:
             raise ValueError("witness scale must be nonzero")
+        _set(self, "q", q)
+        _set(self, "gamma", gamma)
 
 
-@dataclass(frozen=True)
-class CongruenceDecision:
-    congruent: bool
-    witness: CongruenceWitness | None = None
-    certificate: tuple | None = None  # (beta^2, alpha^2), evaluated, unequal
+class CongruenceDecision(_Record):
+    __slots__ = _fields = ("congruent", "witness", "certificate")
+
+    def __init__(self, congruent, witness=None, certificate=None):
+        # certificate: (beta^2, alpha^2), evaluated, unequal
+        _set(self, "congruent", congruent)
+        _set(self, "witness", witness)
+        _set(self, "certificate", certificate)
 
 
 def make_aalpha(alpha):
@@ -190,7 +194,7 @@ def verify_iso_witness(alpha, beta, images):
 
 
 def _residue(x, p):
-    ModScalar(0, p)  # validates the modulus
+    _check_modulus(p)
     if isinstance(x, ModScalar):
         if x.modulus != p:
             raise ValueError(f"parameter modulus {x.modulus} differs from {p}")

@@ -34,20 +34,18 @@ products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from itertools import chain
 
 from .freealg import NCPoly
 from .presentation import Presentation
 from .rewrite import FactorAvoider, Span, graded_basis, groebner, reduce_by_entries
-from .scalars import DegreeBudgetError, FieldSpec, MismatchError, Scalar
+from .scalars import DegreeBudgetError, MismatchError, Scalar, _Record, _set
 
 
 _NOT_IDEMPOTENT = "element is not an idempotent modulo the relations"
 
 
-@dataclass(frozen=True)
-class MatrixPresentation:
+class MatrixPresentation(_Record):
     """The n x n matrix algebra M_n(B) over a presented base B: the pair (B, n).
 
     Generator index (i - 1) * n + (j - 1) is the unit e_ij, and n^2 + k the
@@ -55,16 +53,16 @@ class MatrixPresentation:
     here; pres, the relation list of M_n(B), is built on each read.
     """
 
-    base: Presentation
-    n: int
-    field: FieldSpec = dc_field(init=False, compare=False)
-    num_gens: int = dc_field(init=False, compare=False)
+    __slots__ = _fields = ("base", "n", "field", "num_gens")
+    _compared = _fields[:2]
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, base, n):
+        if n < 1:
             raise ValueError("matrix size must be >= 1")
-        object.__setattr__(self, "field", self.base.field)
-        object.__setattr__(self, "num_gens", self.n * self.n + self.base.num_gens)
+        _set(self, "base", base)
+        _set(self, "n", n)
+        _set(self, "field", base.field)
+        _set(self, "num_gens", n * n + base.num_gens)
 
     @property
     def generators(self):
@@ -409,12 +407,14 @@ def verify_idempotent(e, MP, d):
     return _idempotent_matrix(e, MP, _walk_basis(e, MP, d, 0)) is not None
 
 
-@dataclass(frozen=True)
-class FullnessVerdict:
-    full: bool
-    bound: int
-    # certificate: tuple of ((u, v), coefficient) with sum c * u*e*v = 1
-    certificate: tuple | None = None
+class FullnessVerdict(_Record):
+    __slots__ = _fields = ("full", "bound", "certificate")
+
+    def __init__(self, full, bound, certificate=None):
+        # certificate: tuple of ((u, v), coefficient) with sum c * u*e*v = 1
+        _set(self, "full", full)
+        _set(self, "bound", bound)
+        _set(self, "certificate", certificate)
 
     def __str__(self):
         return "full" if self.full else f"unknown-at-{self.bound}"

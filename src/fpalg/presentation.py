@@ -11,10 +11,9 @@ renames the transcendentals that actually occur onto t1,...,tr.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 
 from .freealg import NCPoly
-from .scalars import FieldAutomorphism, FieldSpec, MismatchError
+from .scalars import FieldAutomorphism, MismatchError, _Record, _set
 from .scalars import invert as invert_automorphism
 
 _NAME_RE = re.compile(r"^[A-Za-z][A-Za-z0-9_]*$")
@@ -33,35 +32,36 @@ def _check_generator_name(name):
         )
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(_Record):
     """Generators, relations and a coefficient field; equality is syntactic.
 
     The display name is metadata and does not take part in equality.
     """
 
-    field: FieldSpec
-    generators: tuple
-    relations: tuple
-    name: str = dc_field(default="A", compare=False)
+    __slots__ = _fields = ("field", "generators", "relations", "name")
+    _compared = _fields[:3]
 
-    def __post_init__(self):
-        object.__setattr__(self, "generators", tuple(self.generators))
-        object.__setattr__(self, "relations", tuple(self.relations))
-        if len(set(self.generators)) != len(self.generators):
+    def __init__(self, field, generators, relations, name="A"):
+        generators = tuple(generators)
+        relations = tuple(relations)
+        if len(set(generators)) != len(generators):
             raise ValueError("duplicate generator names")
-        for g in self.generators:
+        for g in generators:
             _check_generator_name(g)
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"invalid algebra name {self.name!r}")
-        m = len(self.generators)
-        for rel in self.relations:
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid algebra name {name!r}")
+        m = len(generators)
+        for rel in relations:
             if not isinstance(rel, NCPoly):
                 raise TypeError("relations must be NCPoly values")
             if rel.is_zero():
                 raise ValueError("zero relation is not storable")
-            if rel.field != self.field or rel.num_gens != m:
+            if rel.field != field or rel.num_gens != m:
                 raise MismatchError("relation over a different context")
+        _set(self, "field", field)
+        _set(self, "generators", generators)
+        _set(self, "relations", relations)
+        _set(self, "name", name)
 
     @property
     def num_gens(self):

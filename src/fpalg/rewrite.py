@@ -16,13 +16,11 @@ from __future__ import annotations
 
 import bisect
 import heapq
-from collections import deque
-from dataclasses import dataclass, field as dataclass_field, replace
-from typing import NamedTuple
+from collections import deque, namedtuple
 
 from .freealg import NCPoly, deglex_key, descending_key, find_factor
 from .presentation import Presentation
-from .scalars import MismatchError, Scalar
+from .scalars import MismatchError, Scalar, _Record, _set
 
 
 class ReductionIndex:
@@ -110,32 +108,35 @@ class ReductionIndex:
         return None
 
 
-@dataclass(frozen=True)
-class TruncatedGB:
+class TruncatedGB(_Record):
     """Reduced truncated basis: monic elements, pairwise irreducible leading
     words, tails in normal form, sorted by ascending deglex leading word."""
 
-    field: object
-    num_gens: int
-    basis: tuple
-    complete_to: int
-    _index: ReductionIndex = dataclass_field(repr=False, compare=False)
+    __slots__ = ("field", "num_gens", "basis", "complete_to", "_index")
+    _fields = __slots__[:4]
+
+    def __init__(self, field, num_gens, basis, complete_to, _index):
+        _set(self, "field", field)
+        _set(self, "num_gens", num_gens)
+        _set(self, "basis", basis)
+        _set(self, "complete_to", complete_to)
+        _set(self, "_index", _index)
 
     def entries(self):
         """The basis as the ReductionIndex its completion built; read only."""
         return self._index
 
 
-class NormalForm(NamedTuple):
-    poly: NCPoly
-    verified: bool
+NormalForm = namedtuple("NormalForm", "poly verified")
 
 
-@dataclass(frozen=True)
-class MembershipVerdict:
-    member: bool
-    exact: bool
-    bound: int
+class MembershipVerdict(_Record):
+    __slots__ = _fields = ("member", "exact", "bound")
+
+    def __init__(self, member, exact, bound):
+        _set(self, "member", member)
+        _set(self, "exact", exact)
+        _set(self, "bound", bound)
 
     def __str__(self):
         if self.member:
@@ -145,10 +146,12 @@ class MembershipVerdict:
         return f"not-member-up-to-{self.bound}"
 
 
-@dataclass(frozen=True)
-class GenerationVerdict:
-    generating: bool
-    bound: int
+class GenerationVerdict(_Record):
+    __slots__ = _fields = ("generating", "bound")
+
+    def __init__(self, generating, bound):
+        _set(self, "generating", generating)
+        _set(self, "bound", bound)
 
     def __bool__(self):
         return self.generating
@@ -365,7 +368,7 @@ def graded_basis(P, D):
     D = max(D, 0)
     low = tuple(r for r in P.relations if r.degree() <= D)
     if len(low) < len(P.relations):
-        P = replace(P, relations=low)
+        P = Presentation(P.field, P.generators, low, name=P.name)
     return groebner(P, D)
 
 

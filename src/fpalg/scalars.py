@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
@@ -46,15 +45,51 @@ class DegreeBudgetError(ValueError):
     """A verification could not be completed within the degree bound."""
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of fpalg's immutable records.
+
+    A subclass names the fields its repr shows in _fields and, when fewer,
+    the ones equality and hashing read in _compared; its __init__ stores
+    each field with _set, because assignment raises AttributeError.
+    """
+
+    __slots__ = ()
+    _compared = None
+
+    def __init_subclass__(cls):
+        cls._key = operator.attrgetter(*(cls._compared or cls._fields))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FieldSpec(_Record):
     """The coefficient field Q(t1,...,tk); k = 0 means plain Q."""
 
-    num_generators: int = 0
+    __slots__ = _fields = ("num_generators",)
 
-    def __post_init__(self):
-        if self.num_generators < 0:
+    def __init__(self, num_generators=0):
+        if num_generators < 0:
             raise ValueError("number of transcendental generators must be >= 0")
+        _set(self, "num_generators", num_generators)
 
     def generator_names(self):
         return tuple(f"t{i + 1}" for i in range(self.num_generators))
@@ -354,8 +389,7 @@ def zero_like(x):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FieldAutomorphism:
+class FieldAutomorphism(_Record):
     """An invertible map of Q(t1,...,tk) from the supported class.
 
     ``forward[i] = (j, a, b)`` records the image t_i -> a*t_j + b with a != 0
@@ -364,9 +398,13 @@ class FieldAutomorphism:
     maps all normalize to this form.
     """
 
-    field: FieldSpec
-    forward: tuple
-    backward: tuple
+    # no __slots__: cached_property keeps its values in the instance __dict__
+    _fields = ("field", "forward", "backward")
+
+    def __init__(self, field, forward, backward):
+        _set(self, "field", field)
+        _set(self, "forward", forward)
+        _set(self, "backward", backward)
 
     # Read once per automorphism, at its first application: most that are
     # built are steps of a composition and never applied.
@@ -559,17 +597,20 @@ def _is_odd_prime(p):
     return True
 
 
-@dataclass(frozen=True)
-class ModScalar:
+def _check_modulus(p):
+    if not _is_odd_prime(p):
+        raise ValueError(f"modulus {p} is not an odd prime")
+
+
+class ModScalar(_Record):
     """An element of F_p, p an odd prime.  Oracle-search companion to Scalar."""
 
-    value: int
-    modulus: int
+    __slots__ = _fields = ("value", "modulus")
 
-    def __post_init__(self):
-        if not _is_odd_prime(self.modulus):
-            raise ValueError(f"modulus {self.modulus} is not an odd prime")
-        object.__setattr__(self, "value", self.value % self.modulus)
+    def __init__(self, value, modulus):
+        _check_modulus(modulus)
+        _set(self, "value", value % modulus)
+        _set(self, "modulus", modulus)
 
     def _check(self, other):
         if not isinstance(other, ModScalar):

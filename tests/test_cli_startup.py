@@ -47,26 +47,36 @@ NOT_LOADED = {
     "corner": {"fpalg.aalpha"},
 }
 
-# Prints, as JSON, the fpalg modules loaded after `import fpalg` and after
-# run(argv) of the argv on stdin, in one fresh interpreter.
+# Standard modules no fpalg module or verb needs: `dataclasses` alone loads
+# `inspect`, `ast`, `dis` and `tokenize`, at a cost every CLI process paid.
+UNUSED_STDLIB = {"dataclasses", "inspect", "typing", "ast", "dis", "tokenize"}
+
+# Prints, as JSON, the fpalg modules loaded after `import fpalg`, every module
+# loaded after importing the modules named on stdin and running run(argv) of
+# the argv on stdin (when it is not null), and the exit code, in one fresh
+# interpreter.  It starts with -S, because a site hook may preload `typing`.
 _LOAD_PROBE = """
 import contextlib, io, json, sys
 import fpalg
 after_import = sorted(m for m in sys.modules if m.startswith("fpalg."))
-from fpalg.cli import run
-argv = json.loads(sys.stdin.read())
-with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-    code = run(argv)
-print(json.dumps([after_import, sorted(m for m in sys.modules if m.startswith("fpalg.")), code]))
+modules, argv = json.loads(sys.stdin.read())
+for name in modules:
+    __import__(name)
+code = None
+if argv is not None:
+    from fpalg.cli import run
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = run(argv)
+print(json.dumps([after_import, sorted(sys.modules), code]))
 """
 
 
-def _loaded(argv):
+def _loaded(argv, modules=()):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", _LOAD_PROBE],
-        input=json.dumps(argv).encode(),
+        [sys.executable, "-S", "-c", _LOAD_PROBE],
+        input=json.dumps([list(modules), argv]).encode(),
         env=env,
         capture_output=True,
         timeout=120,
@@ -91,6 +101,14 @@ def test_a_verb_loads_only_its_engines(verb):
     assert code == 0
     assert "fpalg.cli" in after_run
     assert not NOT_LOADED[verb] & set(after_run)
+    assert not UNUSED_STDLIB & set(after_run)
+
+
+def test_no_fpalg_module_loads_the_unused_stdlib():
+    modules = sorted(f"fpalg.{p.stem}" for p in (SRC / "fpalg").glob("*.py") if p.stem != "__init__")
+    _, loaded, _ = _loaded(None, modules)
+    assert [m for m in loaded if m.startswith("fpalg.")] == modules
+    assert not UNUSED_STDLIB & set(loaded)
 
 
 def test_star_import_binds_the_public_names():

@@ -3,7 +3,8 @@
 perfbench/ imports fpalg names by hand and its tracer rebinds fpalg
 functions and methods by name, so removing or renaming one of them would
 break the benchmark without failing any engine test.  These checks read the
-harness files themselves.
+harness files themselves.  The last test pins the value contract of the
+public records: keyword construction, equality, hashing and immutability.
 """
 
 import ast
@@ -13,7 +14,25 @@ import inspect
 import pathlib
 import types
 
+import pytest
+
 import fpalg
+from fpalg import (
+    CongruenceDecision,
+    CongruenceWitness,
+    FieldAutomorphism,
+    FieldSpec,
+    FullnessVerdict,
+    GenerationVerdict,
+    MatrixPresentation,
+    MembershipVerdict,
+    ModScalar,
+    NormalForm,
+    Presentation,
+    TruncatedGB,
+    groebner,
+    parse_presentation,
+)
 
 PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -151,3 +170,78 @@ def test_workload_calls_bind():
             signature.bind(*[None] * positional, **dict.fromkeys(keywords))
         except TypeError as exc:
             raise AssertionError(f"workloads.py line {line}: {callee.__qualname__}{signature}: {exc}")
+
+
+# -- records ---------------------------------------------------------------------
+
+_Q, _QT = FieldSpec(0), FieldSpec(1)
+_P = parse_presentation("algebra A over Q generators x1 x2 relations { x1*x2 = 0; }")
+_REL = _P.relations[0]
+_GB = groebner(_P, 3)
+_SIGMA = FieldAutomorphism.affine(_QT, 0, 2, 1)
+_ONE = ((1, 0), (0, 1))
+
+# (record, keyword arguments, fields equality ignores, defaults of the
+#  arguments left out, arguments the constructor rejects)
+RECORDS = [
+    (FieldSpec, {"num_generators": 2}, (), {"num_generators": 0},
+     [{"num_generators": -1}]),
+    (FieldAutomorphism, {"field": _QT, "forward": _SIGMA.forward, "backward": _SIGMA.backward},
+     (), {}, []),
+    (ModScalar, {"value": 3, "modulus": 7}, (), {}, [{"value": 1, "modulus": 9}]),
+    (Presentation, {"field": _Q, "generators": ("x1", "x2"), "relations": (_REL,), "name": "B"},
+     ("name",), {"name": "A"},
+     [{"field": _Q, "generators": ("x1", "x2"), "relations": (_REL - _REL,)},
+      {"field": _Q, "generators": ("x1", "x1"), "relations": ()}]),
+    (TruncatedGB, {"field": _Q, "num_gens": 2, "basis": _GB.basis, "complete_to": 3,
+                   "_index": _GB.entries()}, ("_index",), {}, []),
+    (MembershipVerdict, {"member": False, "exact": True, "bound": 4}, (), {}, []),
+    (GenerationVerdict, {"generating": True, "bound": 2}, (), {}, []),
+    (MatrixPresentation, {"base": _P, "n": 2}, ("field", "num_gens"), {},
+     [{"base": _P, "n": 0}]),
+    (FullnessVerdict, {"full": True, "bound": 3, "certificate": ()}, (), {"certificate": None},
+     []),
+    (CongruenceWitness, {"q": _ONE, "gamma": 1}, (), {},
+     [{"q": ((1, 1), (1, 1)), "gamma": 1}, {"q": _ONE, "gamma": 0}]),
+    (CongruenceDecision,
+     {"congruent": True, "witness": CongruenceWitness(_ONE, 1), "certificate": None},
+     (), {"witness": None, "certificate": None}, []),
+    (NormalForm, {"poly": _REL, "verified": True}, (), {}, []),
+]
+
+
+@pytest.mark.parametrize(
+    "record, kwargs, ignored, defaults, rejected", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_records_are_immutable_values(record, kwargs, ignored, defaults, rejected):
+    a, b = record(**kwargs), record(**kwargs)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != object()
+    for name, value in kwargs.items():
+        assert getattr(a, name) is value
+    kept = {k: v for k, v in kwargs.items() if k not in defaults}
+    for name, value in defaults.items():
+        assert getattr(record(**kept), name) == value
+    for name in [next(iter(kwargs)), "not_a_field"]:
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    with pytest.raises(AttributeError):
+        delattr(a, next(iter(kwargs)))
+    for bad in rejected:
+        with pytest.raises(ValueError):
+            record(**bad)
+    # the repr names every field but the private ones, arguments first
+    shown = [name for name in dict.fromkeys([*kwargs, *ignored]) if not name.startswith("_")]
+    assert repr(a) == f"{record.__name__}({', '.join(f'{n}={getattr(a, n)!r}' for n in shown)})"
+    if record is NormalForm:
+        poly, verified = a
+        assert (poly, verified) == a
+        return
+    # a field other than the stored one breaks equality exactly when compared
+    for name in [*kwargs, *ignored]:
+        c = record(**kwargs)
+        object.__setattr__(c, name, object())
+        if name in ignored:
+            assert c == a and hash(c) == hash(a)
+        else:
+            assert c != a
