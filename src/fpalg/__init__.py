@@ -21,6 +21,7 @@ _HOMES = {
     "aalpha": (
         "CongruenceDecision",
         "CongruenceWitness",
+        "ModScalar",
         "congruence_check",
         "decide_form_congruence",
         "form_of",
@@ -66,7 +67,6 @@ _HOMES = {
         "FieldAutomorphism",
         "FieldSpec",
         "MismatchError",
-        "ModScalar",
         "Scalar",
         "apply_automorphism",
         "compose",

@@ -30,16 +30,95 @@ from __future__ import annotations
 from .freealg import NCPoly
 from .presentation import Presentation
 from .rewrite import _generating_by, graded_basis, normal_form
-from .scalars import (
-    ModScalar,
-    Scalar,
-    _check_modulus,
-    _Record,
-    _set,
-    apply_automorphism,
-    one_like,
-    zero_like,
-)
+from .scalars import MismatchError, Scalar, _Record, _set, apply_automorphism
+
+
+def _is_odd_prime(p):
+    if p < 3 or p % 2 == 0:
+        return False
+    d = 3
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 2
+    return True
+
+
+def _check_modulus(p):
+    if not _is_odd_prime(p):
+        raise ValueError(f"modulus {p} is not an odd prime")
+
+
+class ModScalar(_Record):
+    """An element of F_p, p an odd prime: the scalars of the witness search
+    over GL_2(F_p) below.  The modulus is checked at construction; results
+    of arithmetic take it from operands that passed that check."""
+
+    __slots__ = _fields = ("value", "modulus")
+
+    def __init__(self, value, modulus):
+        _check_modulus(modulus)
+        _set(self, "value", value % modulus)
+        _set(self, "modulus", modulus)
+
+    def _new(self, value):
+        out = object.__new__(ModScalar)
+        _set(out, "value", value % self.modulus)
+        _set(out, "modulus", self.modulus)
+        return out
+
+    def _check(self, other):
+        if not isinstance(other, ModScalar):
+            raise TypeError(f"expected ModScalar, got {type(other).__name__}")
+        if other.modulus != self.modulus:
+            raise MismatchError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
+
+    def __add__(self, other):
+        self._check(other)
+        return self._new(self.value + other.value)
+
+    def __sub__(self, other):
+        self._check(other)
+        return self._new(self.value - other.value)
+
+    def __mul__(self, other):
+        self._check(other)
+        return self._new(self.value * other.value)
+
+    def __truediv__(self, other):
+        self._check(other)
+        if other.value == 0:
+            raise ZeroDivisionError("division by zero in F_p")
+        return self._new(self.value * pow(other.value, self.modulus - 2, self.modulus))
+
+    def __neg__(self):
+        return self._new(-self.value)
+
+    def __bool__(self):
+        return self.value != 0
+
+    def is_zero(self):
+        return self.value == 0
+
+    def __str__(self):
+        return str(self.value)
+
+
+def one_like(x):
+    if isinstance(x, Scalar):
+        return Scalar.one(x.field)
+    if isinstance(x, ModScalar):
+        return x._new(1)
+    raise TypeError(type(x).__name__)
+
+
+def zero_like(x):
+    if isinstance(x, Scalar):
+        return Scalar.zero(x.field)
+    if isinstance(x, ModScalar):
+        return x._new(0)
+    raise TypeError(type(x).__name__)
+
 
 # 2x2 matrices are tuples of row tuples of scalar-like entries.
 

@@ -22,9 +22,6 @@ its inverse is stored explicitly.  apply_automorphism substitutes the images
 over the integers: it multiplies numerator and denominator by one integer
 that clears every denominator of the a_i and b_i, and Scalar._make reduces
 the pair to its canonical form.
-
-A finite-field scalar mode (ModScalar, odd prime modulus, no transcendentals)
-is provided for the exhaustive congruence search in the aalpha module.
 """
 
 from __future__ import annotations
@@ -106,8 +103,9 @@ def _grlex_key(monomial):
 
 
 def _leading_coeff(poly):
-    lead = max(poly.keys(), key=_grlex_key)
-    return poly[lead]
+    if poly.ngens == 1:  # grlex on one generator is exponent order
+        return poly[max(poly)]
+    return poly[max(poly.keys(), key=_grlex_key)]
 
 
 def _monomial_text(monomial, coeff):
@@ -368,22 +366,6 @@ class Scalar:
         return f"Scalar({self}, {self.field})"
 
 
-def one_like(x):
-    if isinstance(x, Scalar):
-        return Scalar.one(x.field)
-    if isinstance(x, ModScalar):
-        return ModScalar(1, x.modulus)
-    raise TypeError(type(x).__name__)
-
-
-def zero_like(x):
-    if isinstance(x, Scalar):
-        return Scalar.zero(x.field)
-    if isinstance(x, ModScalar):
-        return ModScalar(0, x.modulus)
-    raise TypeError(type(x).__name__)
-
-
 # ---------------------------------------------------------------------------
 # automorphisms
 # ---------------------------------------------------------------------------
@@ -579,72 +561,3 @@ def compose(sigma, tau):
 def invert(sigma):
     """The inverse automorphism; forward and backward swap roles."""
     return FieldAutomorphism(sigma.field, sigma.backward, sigma.forward)
-
-
-# ---------------------------------------------------------------------------
-# finite-field mode
-# ---------------------------------------------------------------------------
-
-
-def _is_odd_prime(p):
-    if p < 3 or p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def _check_modulus(p):
-    if not _is_odd_prime(p):
-        raise ValueError(f"modulus {p} is not an odd prime")
-
-
-class ModScalar(_Record):
-    """An element of F_p, p an odd prime.  Oracle-search companion to Scalar."""
-
-    __slots__ = _fields = ("value", "modulus")
-
-    def __init__(self, value, modulus):
-        _check_modulus(modulus)
-        _set(self, "value", value % modulus)
-        _set(self, "modulus", modulus)
-
-    def _check(self, other):
-        if not isinstance(other, ModScalar):
-            raise TypeError(f"expected ModScalar, got {type(other).__name__}")
-        if other.modulus != self.modulus:
-            raise MismatchError(f"modulus mismatch: {self.modulus} vs {other.modulus}")
-
-    def __add__(self, other):
-        self._check(other)
-        return ModScalar(self.value + other.value, self.modulus)
-
-    def __sub__(self, other):
-        self._check(other)
-        return ModScalar(self.value - other.value, self.modulus)
-
-    def __mul__(self, other):
-        self._check(other)
-        return ModScalar(self.value * other.value, self.modulus)
-
-    def __truediv__(self, other):
-        self._check(other)
-        if other.value == 0:
-            raise ZeroDivisionError("division by zero in F_p")
-        inv = pow(other.value, self.modulus - 2, self.modulus)
-        return ModScalar(self.value * inv, self.modulus)
-
-    def __neg__(self):
-        return ModScalar(-self.value, self.modulus)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def is_zero(self):
-        return self.value == 0
-
-    def __str__(self):
-        return str(self.value)

@@ -24,6 +24,12 @@ sequence in t1 (W. S. Brown, *On Euclid's algorithm and the computation of
 polynomial greatest common divisors*, J. ACM 18, 1971), whose exact
 divisions keep the coefficients small without a content gcd at every step.
 The gcd is unique up to sign; Scalar fixes the sign of its parts itself.
+
+For one generator (k = 1) the hot work runs on Python ints; the dict stays
+the canonical form.  A product fills a dense coefficient list.  GCDHEU
+evaluates by Horner's scheme over the exponent gaps, takes math.gcd of the
+two values, and reads each cofactor from the digits of an integer quotient,
+taken without a division when a norm bound proves it (_certified1).
 """
 
 from __future__ import annotations
@@ -100,6 +106,8 @@ class ZPoly(dict):
             return ZPoly(self.ngens, {m: c * other for m, c in self.items()} if other else ())
         if not isinstance(other, ZPoly):
             return NotImplemented
+        if self.ngens == 1:
+            return _mul1(self, other)
         out = ZPoly(self.ngens)
         get = out.get
         for m1, c1 in self.items():
@@ -172,21 +180,24 @@ def _heugcd(f, g, k):
     if content != 1:
         f = {m: c // content for m, c in f.items()}
         g = {m: c // content for m, c in g.items()}
-    xi = 2 * min(max(map(abs, f.values())), max(map(abs, g.values()))) + 29
+    norms = max(map(abs, f.values())), max(map(abs, g.values()))
+    xi = 2 * min(norms) + 29
     for _ in range(HEU_GCD_MAX):
-        ff, gg = _evaluate(f, xi), _evaluate(g, xi)
-        if ff and gg:
-            # for k = 1 the images are constants, which the one-term
-            # shortcut answers with an integer gcd
-            images = _cofactors(ff, gg, k - 1)
-            if images is None:
-                return None
-            found = _certified(f, g, images[0], xi)
-            if found is not None:
-                h, cff, cfg = found
-                if content != 1:
-                    h = {m: c * content for m, c in h.items()}
-                return h, cff, cfg
+        if k == 1:
+            found = _certified1(f, g, xi, norms)
+        else:
+            found = None
+            ff, gg = _evaluate(f, xi), _evaluate(g, xi)
+            if ff and gg:
+                images = _cofactors(ff, gg, k - 1)
+                if images is None:
+                    return None
+                found = _certified(f, g, images[0], xi)
+        if found is not None:
+            h, cff, cfg = found
+            if content != 1:
+                h = {m: c * content for m, c in h.items()}
+            return h, cff, cfg
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
@@ -203,8 +214,73 @@ def _certified(f, g, hh, xi):
     return None
 
 
+def _certified1(f, g, xi, norms):
+    """GCDHEU's step at xi for k = 1, on ints: (h, f/h, g/h) or None.  A
+    cofactor q is read from the balanced digits of f(xi) // h(xi), so q*h
+    and f agree at xi; when 2*|f| < xi and 2*|q|_1*|h| < xi, every
+    coefficient of both is below xi/2 in size, so q*h = f.  Else _exquo."""
+    ff, gg = _horner(f, xi), _horner(g, xi)
+    if not (ff and gg):
+        return None
+    hh = math.gcd(ff, gg)
+    if hh == 1:
+        return {(0,): 1}, f, g
+    h = _digits(hh, xi)
+    content = math.gcd(*h.values())
+    if content != 1:
+        h = {m: c // content for m, c in h.items()}
+        hh //= content
+    norm_h = max(map(abs, h.values()))
+    found = [h]
+    for p, value, norm in zip((f, g), (ff, gg), norms):
+        q = _digits(value // hh, xi)
+        if 2 * norm >= xi or 2 * sum(map(abs, q.values())) * norm_h >= xi:
+            q = _exquo(p, h)
+            if q is None:
+                return None
+        found.append(q)
+    return found
+
+
+def _horner(f, xi):
+    """f at t1 = xi for k = 1, by Horner's scheme over the exponent gaps."""
+    terms = sorted(f.items(), reverse=True)
+    value, (top,) = 0, terms[0][0]
+    for (e,), c in terms:
+        value = value * xi ** (top - e) + c
+        top = e
+    return value * xi ** top
+
+
+def _digits(n, xi):
+    """The polynomial in t1 whose coefficients are the balanced base-xi
+    digits of the int n."""
+    half = xi // 2
+    out = {}
+    e = 0
+    while n:
+        n, digit = divmod(n, xi)
+        if digit > half:
+            digit -= xi
+            n += 1
+        if digit:
+            out[(e,)] = digit
+        e += 1
+    return out
+
+
+def _mul1(f, g):
+    """f * g for k = 1, into a dense list of coefficients."""
+    out = [0] * (max(f, default=(0,))[0] + max(g, default=(0,))[0] + 1)
+    terms = [(m[0], c) for m, c in g.items()]
+    for (e1,), c1 in f.items():
+        for e2, c2 in terms:
+            out[e1 + e2] += c1 * c2
+    return ZPoly(1, {(e,): c for e, c in enumerate(out) if c})
+
+
 def _evaluate(f, xi):
-    """f at t1 = xi, as a dict in t2..tk (keyed by () when k = 1)."""
+    """f at t1 = xi, as a dict in t2..tk, for k >= 2."""
     out = {}
     get = out.get
     for m, c in f.items():

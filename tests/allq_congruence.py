@@ -11,8 +11,7 @@ it to the same first witness, against the p^4 loop for p <= 13 and against
 the p^3 loop for larger p, where the p^4 loop is too slow.
 """
 
-from fpalg.aalpha import CongruenceWitness, _residue, mat2
-from fpalg.scalars import ModScalar
+from fpalg.aalpha import CongruenceWitness, ModScalar, _residue, mat2
 
 
 def _witness(q11, q12, q21, q22, m11, p):

@@ -24,8 +24,8 @@ from fpalg import (
     search_iso_degree2,
     verify_iso_witness,
 )
-from fpalg.aalpha import mat2, mat2_det, mat2_mul, mat2_transpose
-from fpalg.scalars import one_like
+from fpalg import aalpha
+from fpalg.aalpha import mat2, mat2_det, mat2_mul, mat2_transpose, one_like, zero_like
 from allq_congruence import allq_search_iso_degree2, solved_q22_search_iso_degree2
 
 Q = FieldSpec(0)
@@ -314,6 +314,28 @@ class TestFiniteFieldSearch:
     def test_even_modulus_rejected(self):
         with pytest.raises(ValueError):
             search_iso_degree2(1, 1, 4)
+
+    def test_arithmetic_results_skip_the_modulus_check(self, monkeypatch):
+        # only the two constructed operands test their modulus for primality;
+        # results of arithmetic carry the modulus their operands passed
+        tested = []
+        is_odd_prime = aalpha._is_odd_prime
+
+        def counted(p):
+            tested.append(p)
+            return is_odd_prime(p)
+
+        monkeypatch.setattr(aalpha, "_is_odd_prime", counted)
+        a, b = ModScalar(3, 7), ModScalar(5, 7)
+        x = a
+        for _ in range(20):
+            x = (x * b + a - b) / a
+        x = -x
+        assert tested == [7, 7]
+        assert x == ModScalar(x.value, 7) and 0 <= x.value < 7
+        assert one_like(x) == ModScalar(1, 7) and zero_like(x) == ModScalar(0, 7)
+        with pytest.raises(ValueError):
+            ModScalar(1, 9)
 
 
 def assert_same_first_witness(reference, p):

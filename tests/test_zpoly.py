@@ -3,10 +3,13 @@
 Ring arithmetic (with ints on either side too), quo_ground and cofactors of
 nonzero operands must give the terms sympy gives; the gcd may differ from
 sympy's only in sign.  So must the exact gcd that takes over when GCDHEU
-gives up, called directly.
+gives up, called directly.  The one-generator kernel is also held to the
+dict route of k = 2, to a time bound on sparse parts of t-degree 500 and to
+its norm bound.
 """
 
 import random
+import time
 from unittest import mock
 
 from hypothesis import given, settings
@@ -159,21 +162,102 @@ def test_exact_fallback_when_the_heuristic_gives_up(monkeypatch):
 
 def test_rejected_evaluation_point_moves_on_to_the_next(monkeypatch):
     # the first xi's gcd image does not read back to a divisor, so the
-    # candidate is rejected and the second xi finds the gcd
+    # candidate is rejected and the second xi finds the gcd; for k = 1 each
+    # point is one call of the int certification step
     f = ZPoly(1, {(1,): -4, (0,): -2})
     g = ZPoly(1, {(2,): 3, (1,): 2, (0,): -6})
     calls = []
-    certified = zpoly._certified
+    certified = zpoly._certified1
 
     def counted(*args):
         found = certified(*args)
         calls.append(found is not None)
         return found
 
-    monkeypatch.setattr(zpoly, "_certified", counted)
+    monkeypatch.setattr(zpoly, "_certified1", counted)
     h, cff, cfg = f.cofactors(g)
     assert calls == [False, True]
     assert h * cff == f and h * cfg == g
     R = int_ring(1)
     expected = dict(R.from_dict(f).gcd(R.from_dict(g)))
     assert dict(h) == expected or dict(-h) == expected
+
+
+# -- the one-generator kernel ------------------------------------------------
+
+
+def univariate(max_degree=40, bits=60):
+    bound = 2**bits
+    coeff = st.integers(-bound, bound).filter(bool)
+    return st.dictionaries(st.integers(0, max_degree).map(lambda e: (e,)), coeff,
+                           min_size=1, max_size=8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_one_generator_kernel_matches_sympy_and_the_dict_route(data):
+    f, g = ZPoly(1, data.draw(univariate())), ZPoly(1, data.draw(univariate()))
+    if data.draw(st.booleans()):  # a shared factor and a shared content
+        common = ZPoly(1, data.draw(univariate(max_degree=12, bits=20)))
+        content = data.draw(st.integers(1, 2**20))
+        f, g = f * common * content, g * common * content
+    R = int_ring(1)
+    sf, sg = R.from_dict(f), R.from_dict(g)
+    assert_same(f * g, sf * sg, 1)
+    h, cff, cfg = f.cofactors(g)
+    for part in (h, cff, cfg):
+        assert type(part) is ZPoly and part.ngens == 1 and all(part.values())
+    assert h * cff == f and h * cfg == g
+    expected = dict(sf.gcd(sg))
+    assert dict(h) == expected or dict(-h) == expected
+    # lifted to k = 2 with t2 unused, the dict route finds the same gcd
+    lift = lambda p: ZPoly(2, {(e, 0): c for (e,), c in p.items()})
+    h2 = lift(f).cofactors(lift(g))[0]
+    assert h2 == lift(h) or h2 == lift(-h)
+
+
+def test_two_term_parts_of_degree_500_are_cheap():
+    t = Scalar.generator(FieldSpec(1), 0)._num
+    f, g = t**500 - 1, t**250 - 1
+    best = {}
+    for _ in range(3):
+        for name, run in (("product", lambda: (t**500 + 3) * (t**500 - 2)),
+                          ("cofactors", lambda: f.cofactors(g))):
+            start = time.perf_counter()
+            run()
+            best[name] = min(best.get(name, 1.0), time.perf_counter() - start)
+    one = ZPoly.constant(1, 1)
+    assert f.cofactors(g) in ((g, t**250 + 1, one), (-g, -(t**250 + 1), -one))
+    assert best["product"] < 0.05 and best["cofactors"] < 0.05, best
+
+
+def test_operands_outside_the_norm_bound_take_exact_division(monkeypatch):
+    # at xi = 2*min(|f|, |g|) + 29 the gcd candidate t + 1 is read back for
+    # each pair; a cofactor is taken from the digits without division only
+    # when 2*|f| < xi and 2*|q|_1*|h| < xi, else _exquo checks it
+    divided = []
+    exquo = zpoly._exquo
+
+    def counted(f, h):
+        divided.append(ZPoly(1, f))
+        return exquo(f, h)
+
+    monkeypatch.setattr(zpoly, "_exquo", counted)
+    t = Scalar.generator(FieldSpec(1), 0)._num
+    cases = [
+        # both bounds hold: no division
+        ((t + 1) * (t + 3), (t + 1) * (t + 2), []),
+        # |f| = 1001 and xi = 35: f is divided
+        ((t + 1) * (1000 * t + 1), (t + 1) * (t + 2), [0]),
+        # |f| = 21 and xi = 35: the digits of f(xi) // h(xi) give
+        # t^2 - 15*t + 1, which meets the q bound but is not f / (t + 1)
+        ((t + 1) * (20 * t + 1), (t + 1) * (t + 2), [0]),
+        # |f| = 1 but f / (t + 1) has 1-norm 17 and xi = 31: f is divided
+        (t**17 + 1, (t + 1) * (t + 2), [0]),
+    ]
+    for f, g, which in cases:
+        divided.clear()
+        h, cff, cfg = f.cofactors(g)
+        assert h == t + 1 or h == -t - 1
+        assert h * cff == f and h * cfg == g
+        assert divided == [(f, g)[i] for i in which]
