@@ -21,7 +21,7 @@ from .presentation import (
     transcendental_support,
     twist,
 )
-from .scalars import DegreeBudgetError, FieldSpec, MismatchError, signed_sum_text, term_text
+from .scalars import DegreeBudgetError, FieldSpec, signed_sum_text, term_text
 from .syntax import (
     ParseError,
     parse_automorphism,
@@ -424,7 +424,7 @@ def run(argv=None):
     except DegreeBudgetError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return UNDECIDED
-    except (ValueError, MismatchError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return SEMANTIC_ERROR
     if args.emit == "text":

@@ -129,8 +129,4 @@ def is_over_subfield(P, r):
     """True iff every coefficient lies in Q(t1,...,tr)."""
     if r < 0:
         raise ValueError("subfield size must be >= 0")
-    for rel in P.relations:
-        for _, coeff in rel.terms():
-            if any(idx >= r for idx in coeff.support_traversal()):
-                return False
-    return True
+    return all(i < r for i in transcendental_support(P))

@@ -25,11 +25,13 @@ polynomial greatest common divisors*, J. ACM 18, 1971), whose exact
 divisions keep the coefficients small without a content gcd at every step.
 The gcd is unique up to sign; Scalar fixes the sign of its parts itself.
 
-For one generator (k = 1) the hot work runs on Python ints; the dict stays
-the canonical form.  A product fills a dense coefficient list.  GCDHEU
-evaluates by Horner's scheme over the exponent gaps, takes math.gcd of the
-two values, and reads each cofactor from the digits of an integer quotient,
-taken without a division when a norm bound proves it (_certified1).
+GCDHEU evaluates by Horner's scheme over the exponent gaps (_horner) and
+reads back from balanced digits (_digits); for k >= 2 both run once per
+t2..tk monomial.  For one generator (k = 1) the hot work runs on Python
+ints; the dict stays the canonical form.  A product fills a dense
+coefficient list, and GCDHEU takes math.gcd of the two values and reads
+each cofactor from the digits of an integer quotient, taken without a
+division when a norm bound proves it (_certified1).
 """
 
 from __future__ import annotations
@@ -80,19 +82,9 @@ class ZPoly(dict):
     __radd__ = __add__
 
     def __sub__(self, other):
-        if type(other) is int:
-            return self + -other
-        if not isinstance(other, ZPoly):
+        if type(other) is not int and not isinstance(other, ZPoly):
             return NotImplemented
-        out = ZPoly(self.ngens, self)
-        get = out.get
-        for m, c in other.items():
-            c = get(m, 0) - c
-            if c:
-                out[m] = c
-            else:
-                del out[m]
-        return out
+        return self + -other
 
     def __rsub__(self, other):
         if type(other) is not int:
@@ -219,7 +211,7 @@ def _certified1(f, g, xi, norms):
     cofactor q is read from the balanced digits of f(xi) // h(xi), so q*h
     and f agree at xi; when 2*|f| < xi and 2*|q|_1*|h| < xi, every
     coefficient of both is below xi/2 in size, so q*h = f.  Else _exquo."""
-    ff, gg = _horner(f, xi), _horner(g, xi)
+    ff, gg = _horner(f.items(), xi), _horner(g.items(), xi)
     if not (ff and gg):
         return None
     hh = math.gcd(ff, gg)
@@ -242,9 +234,10 @@ def _certified1(f, g, xi, norms):
     return found
 
 
-def _horner(f, xi):
-    """f at t1 = xi for k = 1, by Horner's scheme over the exponent gaps."""
-    terms = sorted(f.items(), reverse=True)
+def _horner(terms, xi):
+    """The polynomial in t1 with these ((e,), c) terms at t1 = xi, by
+    Horner's scheme over the exponent gaps."""
+    terms = sorted(terms, reverse=True)
     value, (top,) = 0, terms[0][0]
     for (e,), c in terms:
         value = value * xi ** (top - e) + c
@@ -280,35 +273,19 @@ def _mul1(f, g):
 
 
 def _evaluate(f, xi):
-    """f at t1 = xi, as a dict in t2..tk, for k >= 2."""
-    out = {}
-    get = out.get
+    """f at t1 = xi, as a dict in t2..tk, for k >= 2: one _horner per
+    t2..tk monomial of f."""
+    groups = {}
     for m, c in f.items():
-        rest = m[1:]
-        out[rest] = get(rest, 0) + c * xi ** m[0]
-    return {m: c for m, c in out.items() if c}
+        groups.setdefault(m[1:], []).append((m[:1], c))
+    values = ((rest, _horner(terms, xi)) for rest, terms in groups.items())
+    return {rest: value for rest, value in values if value}
 
 
 def _interpolate(image, xi):
     """The polynomial in t1..tk whose t1-coefficients are the balanced
-    base-xi digits of the image, a dict in t2..tk."""
-    half = xi // 2
-    out = {}
-    i = 0
-    while image:
-        rest = {}
-        for m, c in image.items():
-            digit = c % xi
-            if digit > half:
-                digit -= xi
-            if digit:
-                out[(i,) + m] = digit
-            c = (c - digit) // xi
-            if c:
-                rest[m] = c
-        image = rest
-        i += 1
-    return out
+    base-xi digits (_digits) of the image, a dict in t2..tk."""
+    return {e + rest: c for rest, value in image.items() for e, c in _digits(value, xi).items()}
 
 
 def _primitive(f):

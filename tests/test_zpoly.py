@@ -5,13 +5,16 @@ nonzero operands must give the terms sympy gives; the gcd may differ from
 sympy's only in sign.  So must the exact gcd that takes over when GCDHEU
 gives up, called directly.  The one-generator kernel is also held to the
 dict route of k = 2, to a time bound on sparse parts of t-degree 500 and to
-its norm bound.
+its norm bound.  The GCDHEU step for k = 2 and 3, which runs that kernel's
+Horner and digit steps once per t2..tk monomial, is held to sympy at
+t1-degree 40.
 """
 
 import random
 import time
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -261,3 +264,34 @@ def test_operands_outside_the_norm_bound_take_exact_division(monkeypatch):
         assert h == t + 1 or h == -t - 1
         assert h * cff == f and h * cfg == g
         assert divided == [(f, g)[i] for i in which]
+
+
+# -- the multivariate GCDHEU step --------------------------------------------
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_grouped_horner_step_at_high_t1_degree(k, monkeypatch):
+    # t1-degree 40 with gaps over three t2..tk monomials and 60-bit
+    # coefficients: _evaluate runs one Horner scheme per t2..tk monomial and
+    # _interpolate reads the digits back, with no exact fallback
+    rng = random.Random(f"grouped horner:{k}")
+    rests = [(0,) * (k - 1), (1,) + (2,) * (k - 2), (3,) + (0,) * (k - 2)]
+
+    def part(t1_exponents):
+        return ZPoly(k, {(e,) + rest: rng.choice((-1, 1)) * rng.randrange(1, 2**60)
+                         for e in t1_exponents for rest in rests})
+
+    common = part((0, 5, 13))
+    f, g = part((0, 11, 27)) * common, part((3, 16, 27)) * common
+    assert max(f)[0] == max(g)[0] == 40
+    evaluated, exact = [], []
+    evaluate, exact_cofactors = zpoly._evaluate, zpoly._exact_cofactors
+    monkeypatch.setattr(zpoly, "_evaluate", lambda p, xi: evaluated.append(xi) or evaluate(p, xi))
+    monkeypatch.setattr(zpoly, "_exact_cofactors",
+                        lambda *args: exact.append(args) or exact_cofactors(*args))
+    h, cff, cfg = f.cofactors(g)
+    assert evaluated and not exact
+    assert h * cff == f and h * cfg == g
+    R = int_ring(k)
+    expected = dict(R.from_dict(f).gcd(R.from_dict(g)))
+    assert dict(h) == expected or dict(-h) == expected

@@ -4,8 +4,9 @@ Runs, in this process under sys.settrace: every golden CLI case through
 fpalg.cli.run; the graded, morita and family op lists of perfbench at seeds
 101, 7 and 3, each op run and its output checked; and the seeded CLI argv
 lists at the same seeds.  Prints `path:line: statement` for every statement
-of src/fpalg (docstrings excluded) whose lines were never executed, and
-exits 1 if an op's check fails.  Usage: python tests/traffic_lines.py
+of src/fpalg (docstrings excluded) whose lines were never executed, then
+the count of those per module and in total on stderr, and exits 1 if an
+op's check fails.  Usage: python tests/traffic_lines.py
 """
 
 import ast
@@ -15,6 +16,7 @@ import json
 import random
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -71,12 +73,17 @@ def main():
             for _, argv, _ in _cli_seeded(random.Random(f"cli:{seed}"), Path(work_dir)):
                 run_cli(argv)
     sys.settrace(None)
+    unreached = Counter()
     for path in sorted(SRC.glob("*.py")):
         for first, last, text in sorted(statements(path)):
             if not any((str(path), line) in hit for line in range(first, last + 1)):
                 print(f"{path.relative_to(ROOT)}:{first}: {text}")
+                unreached[path.stem] += 1
     for failure in failed:
         print(f"check failed: {failure}", file=sys.stderr)
+    for module, count in sorted(unreached.items()):
+        print(f"unreached in {module}: {count}", file=sys.stderr)
+    print(f"unreached in total: {unreached.total()}", file=sys.stderr)
     return 1 if failed else 0
 
 
