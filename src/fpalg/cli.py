@@ -46,41 +46,6 @@ def _required(flag, **kwargs):
 _MAXDEG = _required("--maxdeg", type=int)
 _N = _required("--n", type=int)
 
-# Each verb's help, the presentation options it reads first (see _GROUPS),
-# and its further options.  Every option takes one value.
-_VERBS = {
-    "parse": ("validate a presentation and report its shape", "input", ()),
-    "print": ("canonical form of a presentation", "input", ()),
-    "support": ("transcendentals occurring in the coefficients", "input", ()),
-    "canonicalize": ("rename the occurring transcendentals onto t1..tr", "input", ()),
-    "twist": ("twist by a field automorphism", "input",
-              (_required("--auto", help="automorphism clauses"),)),
-    "gb": ("truncated Groebner basis", "input", (_MAXDEG,)),
-    "nf": ("normal form of a polynomial", "input", (_MAXDEG, _required("--expr"))),
-    "hilbert": ("graded dimensions up to a degree", "input", (_required("--upto", type=int),)),
-    "member": ("ideal membership of a polynomial", "input", (_required("--expr"), _MAXDEG)),
-    "generates": ("do the elements generate the quotient", "input",
-                  (_required("--elems", help="semicolon-separated polynomials"), _MAXDEG)),
-    "aalpha-iso": ("isomorphism within the quadratic family", None, (
-        _required("--alpha"),
-        _required("--beta"),
-        ("--k", {"type": int, "help": "transcendental count"}),
-    )),
-    "aalpha-oracle": ("finite-field congruence search", None, (
-        _required("--p", type=int), _required("--alpha", type=int), _required("--beta", type=int),
-    )),
-    "aalpha-orbit": ("parameter orbit under automorphisms", None, (
-        _required("--alpha"),
-        _required("--autos", help="semicolon-separated automorphisms"),
-        ("--k", {"type": int}),
-    )),
-    "matrix": ("matrix presentation over a base", "base", (_N,)),
-    "idem": ("verify an idempotent", "base", (_N, _required("--check"), _MAXDEG)),
-    "full": ("full-idempotent semidecision", "base", (_N, _required("--elem"), _MAXDEG)),
-    "corner": ("corner algebra dimension fingerprint", "base",
-               (_N, _required("--elem"), _required("--upto", type=int))),
-}
-
 # mutually exclusive presentation options: (required, options)
 _GROUPS = {
     "input": (True, (
@@ -97,13 +62,13 @@ _GROUPS = {
 
 def _options(verb):
     """The option strings of verb, in the order its parser adds them."""
-    _, group, options = _VERBS[verb]
+    _, _, group, options = _VERBS[verb]
     grouped = _GROUPS[group][1] if group else ()
     return [flag for flag, _ in (*grouped, *options)] + ["--emit"]
 
 
 def _add_verb(subs, verb):
-    doc, group, options = _VERBS[verb]
+    _, doc, group, options = _VERBS[verb]
     sub = subs.add_parser(verb, help=doc)
     if group is not None:
         required, grouped = _GROUPS[group]
@@ -387,24 +352,43 @@ def _cmd_corner(args):
     return 0, {"dims": dims}, [f"{c} {dim}" for c, dim in enumerate(dims)]
 
 
-_HANDLERS = {
-    "parse": _cmd_parse,
-    "print": _cmd_print,
-    "support": _cmd_support,
-    "canonicalize": _cmd_canonicalize,
-    "twist": _cmd_twist,
-    "gb": _cmd_gb,
-    "nf": _cmd_nf,
-    "hilbert": _cmd_hilbert,
-    "member": _cmd_member,
-    "generates": _cmd_generates,
-    "aalpha-iso": _cmd_aalpha_iso,
-    "aalpha-oracle": _cmd_aalpha_oracle,
-    "aalpha-orbit": _cmd_aalpha_orbit,
-    "matrix": _cmd_matrix,
-    "idem": _cmd_idem,
-    "full": _cmd_full,
-    "corner": _cmd_corner,
+# Each verb's handler, its help, the presentation options it reads first
+# (see _GROUPS), and its further options.  Every option takes one value.
+_VERBS = {
+    "parse": (_cmd_parse, "validate a presentation and report its shape", "input", ()),
+    "print": (_cmd_print, "canonical form of a presentation", "input", ()),
+    "support": (_cmd_support, "transcendentals occurring in the coefficients", "input", ()),
+    "canonicalize": (_cmd_canonicalize, "rename the occurring transcendentals onto t1..tr",
+                     "input", ()),
+    "twist": (_cmd_twist, "twist by a field automorphism", "input",
+              (_required("--auto", help="automorphism clauses"),)),
+    "gb": (_cmd_gb, "truncated Groebner basis", "input", (_MAXDEG,)),
+    "nf": (_cmd_nf, "normal form of a polynomial", "input", (_MAXDEG, _required("--expr"))),
+    "hilbert": (_cmd_hilbert, "graded dimensions up to a degree", "input",
+                (_required("--upto", type=int),)),
+    "member": (_cmd_member, "ideal membership of a polynomial", "input",
+               (_required("--expr"), _MAXDEG)),
+    "generates": (_cmd_generates, "do the elements generate the quotient", "input",
+                  (_required("--elems", help="semicolon-separated polynomials"), _MAXDEG)),
+    "aalpha-iso": (_cmd_aalpha_iso, "isomorphism within the quadratic family", None, (
+        _required("--alpha"),
+        _required("--beta"),
+        ("--k", {"type": int, "help": "transcendental count"}),
+    )),
+    "aalpha-oracle": (_cmd_aalpha_oracle, "finite-field congruence search", None, (
+        _required("--p", type=int), _required("--alpha", type=int), _required("--beta", type=int),
+    )),
+    "aalpha-orbit": (_cmd_aalpha_orbit, "parameter orbit under automorphisms", None, (
+        _required("--alpha"),
+        _required("--autos", help="semicolon-separated automorphisms"),
+        ("--k", {"type": int}),
+    )),
+    "matrix": (_cmd_matrix, "matrix presentation over a base", "base", (_N,)),
+    "idem": (_cmd_idem, "verify an idempotent", "base", (_N, _required("--check"), _MAXDEG)),
+    "full": (_cmd_full, "full-idempotent semidecision", "base",
+             (_N, _required("--elem"), _MAXDEG)),
+    "corner": (_cmd_corner, "corner algebra dimension fingerprint", "base",
+               (_N, _required("--elem"), _required("--upto", type=int))),
 }
 
 
@@ -414,7 +398,7 @@ def run(argv=None):
     verb = argv[0] if argv and argv[0] in _VERBS else None
     args = _build_parser(verb).parse_args(_dash_values(argv, verb))
     try:
-        code, payload, lines = _HANDLERS[args.verb](args)
+        code, payload, lines = _VERBS[args.verb][0](args)
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR

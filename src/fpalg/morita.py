@@ -536,25 +536,6 @@ def verify_fullness_certificate(e, MP, certificate, d):
     return not _matrix(_certificate_residue(e, MP, certificate), MP, base_gb)
 
 
-def _normal_words(MP, base_gb, d, units):
-    """The normal words of M_n(B) of each length 0..d that end in a lift or
-    in one of units: the B-normal z-words of length c, from a FactorAvoider
-    over B's leading words, then those of length c - 1 followed by each
-    unit of units other than e11 (see _matrix).  With units every unit
-    index, these are all the normal words.
-    """
-    nn = MP.n * MP.n
-    units = [u for u in units if u]  # e11 is unit index 0
-    lifted = [
-        [tuple(nn + g for g in b) for b in words]
-        for words in FactorAvoider(MP.base.num_gens, base_gb.entries()).words_up_to(d)
-    ]
-    return [lifted[0]] + [
-        lifted[c] + [b + (u,) for b in lifted[c - 1] for u in units]
-        for c in range(1, d + 1)
-    ]
-
-
 def corner_filtered_dims(e, MP, d):
     """Span dimensions of normal forms of e*w*e for |w| <= c, c = 0..d.
 
@@ -566,8 +547,10 @@ def corner_filtered_dims(e, MP, d):
     gbdeg, and the truncated basis is confluent up to gbdeg, so NF is
     linear there and sends those terms to zero.  Hence NF(e*w*e) lies in
     the span of NF(e*w'*e) over normal w' with |w'| <= |w|, and the span at
-    every c, so every dim, is the one over all words.  The normal words
-    come from _normal_words, and the order they are inserted in does not
+    every c, so every dim, is the one over all words.  The normal words of
+    length c are B's normal z-words b of length c, from a FactorAvoider
+    over B's leading words, then those of length c - 1 followed by one unit
+    other than e11 (see _matrix); the order they are inserted in does not
     change a span.
 
     Of the normal words b*e_ij, b a z-word, only those with column i and
@@ -579,11 +562,12 @@ def corner_filtered_dims(e, MP, d):
     of no longer normal word, so every prefix the walk below reads is
     still built.
 
-    The walk keeps e*w as a matrix over B for each normal word w; its
-    prefix w[:-1] is a normal word one shorter, so e*w is that prefix's
-    matrix times the letter w[-1].  The insert is the product with e's
-    matrix, reduced entry by entry, as _span_vector: linear and one-to-one
-    on normal forms, so every rank is the one over normal forms.
+    The walk keeps e*b as a matrix over B for each normal z-word b: its
+    prefix b[:-1] is a normal z-word one shorter, so e*b is that prefix's
+    matrix times the lift of b[-1], and e*b*e_ij, for its insert only, is
+    e*b times the unit.  The insert is the product with e's matrix, reduced
+    entry by entry, as _span_vector: linear and one-to-one on normal forms,
+    so every rank is the one over normal forms.
     """
     _check_degree(d, "corner")
     _check_context(e, MP)
@@ -593,14 +577,20 @@ def corner_filtered_dims(e, MP, d):
         raise ValueError(_NOT_IDEMPOTENT)
 
     n = MP.n
-    units = [i * n + j for i in {p % n for p in E} for j in {p // n for p in E}]
+    nn = n * n
+    # the units e_ij but e11 (index 0) with column i and row j of E nonzero
+    units = [i * n + j for i in {p % n for p in E} for j in {p // n for p in E} if i or j]
     span = Span()
     dims = []
-    left = {(): E}  # w -> e*w as a matrix over B
-    for words in _normal_words(MP, base_gb, d, units):
-        for w in words:
-            if w not in left:
-                left[w] = _times_letter(left[w[:-1]], w[-1], MP, base_gb, False)
-            span.add(_span_vector(_product(left[w], E, MP, base_gb), MP))
+    left = {(): E}  # B-word b -> e*b as a matrix over B
+    shorter = []
+    for words in FactorAvoider(MP.base.num_gens, base_gb.entries()).words_up_to(d):
+        for b in words:
+            if b:
+                left[b] = _times_letter(left[b[:-1]], nn + b[-1], MP, base_gb, False)
+        ends = [_times_letter(left[b], u, MP, base_gb, False) for b in shorter for u in units]
+        for X in [left[b] for b in words] + ends:
+            span.add(_span_vector(_product(X, E, MP, base_gb), MP))
+        shorter = words
         dims.append(len(span))
     return dims

@@ -95,6 +95,10 @@ class _Tokens:
         tok = self.peek()
         raise ParseError(message, tok[2], tok[3])
 
+    def end(self):
+        if self.peek()[0] != "eof":
+            self.error(f"trailing input {self.peek()[1]!r}")
+
 
 # ---------------------------------------------------------------------------
 # scalar expressions
@@ -175,8 +179,7 @@ def _parse_scalar_factor_body(tokens, field):
 def parse_scalar(text, field):
     tokens = _Tokens(text)
     value = _parse_scalar_expr(tokens, field)
-    if tokens.peek()[0] != "eof":
-        tokens.error(f"trailing input {tokens.peek()[1]!r}")
+    tokens.end()
     return value
 
 
@@ -247,8 +250,7 @@ def parse_poly_with(text, field, index_of, num_gens):
     index_of(name) is the index of the generator called name, or None."""
     tokens = _Tokens(text)
     poly = _parse_poly(tokens, field, index_of, num_gens)
-    if tokens.peek()[0] != "eof":
-        tokens.error(f"trailing input {tokens.peek()[1]!r}")
+    tokens.end()
     return poly
 
 
@@ -319,8 +321,7 @@ def parse_automorphism(text, field):
         if tokens.peek()[1] != ",":
             break
         tokens.next()
-    if tokens.peek()[0] != "eof":
-        tokens.error(f"trailing input {tokens.peek()[1]!r}")
+    tokens.end()
     # a generator without a clause keeps itself as its target
     for target, where in taken.items():
         if target not in images:
@@ -390,8 +391,7 @@ def parse_presentation(text):
             raise ParseError("zero relation is not storable", where[2], where[3])
         relations.append(poly)
     tokens.expect("sym", "}")
-    if tokens.peek()[0] != "eof":
-        tokens.error(f"trailing input {tokens.peek()[1]!r}")
+    tokens.end()
     return Presentation(field, tuple(names), tuple(relations), name=name)
 
 

@@ -11,27 +11,26 @@ int, since Scalar holds every constant part as an int.
 The gcd is GCDHEU (Char, Geddes and Gonnet, *GCDHEU: heuristic polynomial
 GCD algorithm based on integer GCD computation*, J. Symbolic Comput. 7,
 1989).  Both operands are evaluated at an integer xi in the first
-generator; the gcd of the images (integers, or polynomials in one generator
-fewer, found the same way) is read back as a polynomial from its balanced
-base-xi digits.  A candidate is accepted only when it divides both operands
-exactly, and for xi >= 2*min(|f|, |g|) + 2 (max-norms after the integer
-content is taken out) an accepted candidate is the gcd; the first xi here
-is 2*min(|f|, |g|) + 29.  After six evaluation points the heuristic gives
-up and an exact gcd takes over: the contents in Z[t2..tk] (gcds of the
+generator (_evaluate, by Horner's scheme over the exponent gaps, once per
+t2..tk monomial); the images are ints for one generator, met by math.gcd,
+and else polynomials in one generator fewer, met the same way.  An image
+gcd of 1 gives h = 1 at once.  Else one step (_certified) reads the gcd
+image back from its balanced base-xi digits (_interpolate) as a primitive
+h, and each cofactor from its image, so a cofactor q times h agrees with
+its operand f at xi: when 2*|f| < xi and 2*|q|_1*|h| < xi that proves
+q*h = f, and else q is the exact division f / h or the point is
+rejected.  For xi >= 2*min(|f|, |g|) + 2 (max-norms after the integer
+content is taken out) an accepted h is the gcd; the first xi here is
+2*min(|f|, |g|) + 29.  After six evaluation points the heuristic gives up
+and an exact gcd takes over: the contents in Z[t2..tk] (gcds of the
 t1-coefficients, one generator fewer, found the same way) are split off,
 and the primitive parts meet through their subresultant pseudo-remainder
 sequence in t1 (W. S. Brown, *On Euclid's algorithm and the computation of
 polynomial greatest common divisors*, J. ACM 18, 1971), whose exact
 divisions keep the coefficients small without a content gcd at every step.
 The gcd is unique up to sign; Scalar fixes the sign of its parts itself.
-
-GCDHEU evaluates by Horner's scheme over the exponent gaps (_horner) and
-reads back from balanced digits (_digits); for k >= 2 both run once per
-t2..tk monomial.  For one generator (k = 1) the hot work runs on Python
-ints; the dict stays the canonical form.  A product fills a dense
-coefficient list, and GCDHEU takes math.gcd of the two values and reads
-each cofactor from the digits of an integer quotient, taken without a
-division when a norm bound proves it (_certified1).
+A product for one generator (k = 1) fills a dense coefficient list; the
+dict stays the canonical form.
 """
 
 from __future__ import annotations
@@ -133,9 +132,7 @@ class ZPoly(dict):
         """(h, self / h, other / h) with h = gcd(self, other), unique up to
         sign, for nonzero self and other."""
         k = self.ngens
-        parts = _cofactors(self, other, k)
-        if parts is None:
-            parts = _exact_cofactors(self, other, k)
+        parts = _cofactors(self, other, k) or _exact_cofactors(self, other, k)
         return tuple(ZPoly(k, p) for p in parts)
 
 
@@ -169,64 +166,47 @@ def _gcd_with_term(f, g):
 
 def _heugcd(f, g, k):
     content = math.gcd(*f.values(), *g.values())
-    if content != 1:
-        f = {m: c // content for m, c in f.items()}
-        g = {m: c // content for m, c in g.items()}
+    f, g = _quo_int(f, content), _quo_int(g, content)
     norms = max(map(abs, f.values())), max(map(abs, g.values()))
     xi = 2 * min(norms) + 29
+    one = {(0,) * (k - 1): 1}  # an image gcd of 1 for k >= 2
     for _ in range(HEU_GCD_MAX):
-        if k == 1:
-            found = _certified1(f, g, xi, norms)
-        else:
-            found = None
-            ff, gg = _evaluate(f, xi), _evaluate(g, xi)
-            if ff and gg:
+        ff, gg = _evaluate(f, xi), _evaluate(g, xi)
+        if ff and gg:
+            if k > 1:
                 images = _cofactors(ff, gg, k - 1)
                 if images is None:
                     return None
-                found = _certified(f, g, images[0], xi)
-        if found is not None:
-            h, cff, cfg = found
-            if content != 1:
-                h = {m: c * content for m, c in h.items()}
-            return h, cff, cfg
+            else:
+                hh = math.gcd(ff, gg)
+                images = hh, ff // hh, gg // hh
+            if images[0] in (1, one):  # h = 1 divides both
+                return {(0,) * k: content}, f, g
+            found = _certified(f, g, images, xi, norms)
+            if found is not None:
+                h, cff, cfg = found
+                if content != 1:
+                    h = {m: c * content for m, c in h.items()}
+                return h, cff, cfg
         xi = 73794 * xi * math.isqrt(math.isqrt(xi)) // 27011
     return None
 
 
-def _certified(f, g, hh, xi):
-    """(h, f/h, g/h) with h the primitive part of the gcd image hh read back
-    from xi, when h divides both f and g exactly, or None."""
-    h = _primitive(_interpolate(hh, xi))
-    cff = _exquo(f, h)
-    if cff is not None:
-        cfg = _exquo(g, h)
-        if cfg is not None:
-            return h, cff, cfg
-    return None
-
-
-def _certified1(f, g, xi, norms):
-    """GCDHEU's step at xi for k = 1, on ints: (h, f/h, g/h) or None.  A
-    cofactor q is read from the balanced digits of f(xi) // h(xi), so q*h
-    and f agree at xi; when 2*|f| < xi and 2*|q|_1*|h| < xi, every
-    coefficient of both is below xi/2 in size, so q*h = f.  Else _exquo."""
-    ff, gg = _horner(f.items(), xi), _horner(g.items(), xi)
-    if not (ff and gg):
-        return None
-    hh = math.gcd(ff, gg)
-    if hh == 1:
-        return {(0,): 1}, f, g
-    h = _digits(hh, xi)
-    content = math.gcd(*h.values())
-    if content != 1:
-        h = {m: c // content for m, c in h.items()}
-        hh //= content
+def _certified(f, g, images, xi, norms):
+    """GCDHEU's step at xi: (h, f/h, g/h) or None, from images, the gcd of
+    f and g at t1 = xi and both exact cofactors there.  h is the gcd image
+    read back (_interpolate) with its content c taken out, and a cofactor q
+    is read back from its image times c, so q*h and f agree at t1 = xi.
+    When 2*|f| < xi and 2*|q|_1*|h| < xi, every coefficient of both, in
+    each t2..tk monomial, is below xi/2 in size, so q*h = f.  Else _exquo."""
+    h = _interpolate(images[0], xi)
+    lost = math.gcd(*h.values())
+    h = _quo_int(h, lost)
     norm_h = max(map(abs, h.values()))
     found = [h]
-    for p, value, norm in zip((f, g), (ff, gg), norms):
-        q = _digits(value // hh, xi)
-        if 2 * norm >= xi or 2 * sum(map(abs, q.values())) * norm_h >= xi:
+    for p, image, norm in zip((f, g), images[1:], norms):
+        q = _interpolate(image, xi, lost) if 2 * norm < xi else None
+        if q is None or 2 * sum(map(abs, q.values())) * norm_h >= xi:
             q = _exquo(p, h)
             if q is None:
                 return None
@@ -273,8 +253,10 @@ def _mul1(f, g):
 
 
 def _evaluate(f, xi):
-    """f at t1 = xi, as a dict in t2..tk, for k >= 2: one _horner per
-    t2..tk monomial of f."""
+    """f at t1 = xi: an int for one generator, else a dict in t2..tk, with
+    one _horner per t2..tk monomial of f."""
+    if len(next(iter(f))) == 1:
+        return _horner(f.items(), xi)
     groups = {}
     for m, c in f.items():
         groups.setdefault(m[1:], []).append((m[:1], c))
@@ -282,14 +264,18 @@ def _evaluate(f, xi):
     return {rest: value for rest, value in values if value}
 
 
-def _interpolate(image, xi):
+def _interpolate(image, xi, scale=1):
     """The polynomial in t1..tk whose t1-coefficients are the balanced
-    base-xi digits (_digits) of the image, a dict in t2..tk."""
-    return {e + rest: c for rest, value in image.items() for e, c in _digits(value, xi).items()}
+    base-xi digits (_digits) of scale times the image, an int for one
+    generator, else a dict in t2..tk."""
+    if type(image) is int:
+        return _digits(scale * image, xi)
+    return {e + rest: c for rest, value in image.items()
+            for e, c in _digits(scale * value, xi).items()}
 
 
-def _primitive(f):
-    content = math.gcd(*f.values())
+def _quo_int(f, content):
+    """f with each coefficient divided by the int content, which divides all."""
     if content == 1:
         return f
     return {m: c // content for m, c in f.items()}

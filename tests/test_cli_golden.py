@@ -45,10 +45,10 @@ def test_determinism_across_runs(case):
 
 
 def test_every_verb_covered():
-    from fpalg.cli import _HANDLERS
+    from fpalg.cli import _VERBS
 
     seen = {case["argv"][0] for case in CASES}
-    assert seen == set(_HANDLERS)
+    assert seen == set(_VERBS)
 
 
 def test_deeply_nested_scalar_is_a_parse_error():
@@ -67,7 +67,7 @@ def test_type_error_in_a_handler_propagates(monkeypatch):
     def broken(args):
         raise TypeError("handler bug")
 
-    monkeypatch.setitem(cli._HANDLERS, "print", broken)
+    monkeypatch.setitem(cli._VERBS, "print", (broken, *cli._VERBS["print"][1:]))
     with pytest.raises(TypeError, match="handler bug"):
         run_cli(["print", "--file", str(GOLDEN / "inputs" / "aalpha_t.alg")])
 

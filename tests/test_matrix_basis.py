@@ -146,7 +146,17 @@ def test_basis_equals_the_completion(name):
         m = MP.pres.num_gens
         base_gb = rewrite.groebner(MP.base, need)
         ref = FactorAvoider(m, rewrite.groebner(MP.pres, need).entries())
-        levels = morita._normal_words(MP, base_gb, need, range(MP.n * MP.n))
+        # the B-normal z-words of length c, then those of length c - 1
+        # followed by a unit other than e11 (unit index 0)
+        nn = MP.n * MP.n
+        lifted = [
+            [tuple(nn + g for g in b) for b in words]
+            for words in FactorAvoider(MP.base.num_gens, base_gb.entries()).words_up_to(need)
+        ]
+        levels = [lifted[0]] + [
+            lifted[c] + [b + (u,) for b in lifted[c - 1] for u in range(1, nn)]
+            for c in range(1, need + 1)
+        ]
         expected = ref.words_up_to(need)
         assert [set(words) for words in levels] == [set(words) for words in expected]
         assert [len(words) for words in levels] == [len(words) for words in expected]

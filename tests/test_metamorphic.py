@@ -11,9 +11,21 @@ The corpus is homogeneous only.  On an inhomogeneous B a truncated basis can
 miss consequences that arise above the bound and reach back below it, so a
 renaming may change which ones it misses; that relation waits until such
 verdicts stop overclaiming.
+
+Relation 3, conjugation in M_n(B).  For an elementary unit u = 1 + c*e_ij
+(i != j), with inverse 1 - c*e_ij, e and u e u^-1 have isomorphic corners,
+which is the paper's Morita setting, so they have the same idempotency and
+the same fullness.  Their corner dims need not be equal, since u has
+degree 1, but they are on the corpus here: Q, projector, A_t and Weyl at
+n = 2 and 3, three idempotents (e11, or e11 + e22 at n = 3; e11 + c*e12;
+e11 + e12*z1, or e11 + c*e21 over Q) and three units each, 72 cases.
+Each element is built from its matrix over B, lifts before the unit, so e
+and its conjugate have the same degree.
 """
 
+import pathlib
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -21,9 +33,14 @@ from fpalg import (
     FieldSpec,
     NCPoly,
     Presentation,
+    Scalar,
     corner_filtered_dims,
     hilbert_series,
+    is_full_idempotent,
+    make_aalpha,
     matrix_presentation,
+    parse_presentation,
+    verify_idempotent,
 )
 from randgen import random_homogeneous_quadratic
 
@@ -55,3 +72,84 @@ def test_renaming_generators_keeps_homogeneous_dims(field, seed):
     P2 = renamed(P, perm)
     assert hilbert_series(P2, 5) == hilbert_series(P, 5)
     assert corner_dims_of_one(P2) == corner_dims_of_one(P)
+
+
+INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
+BASES = {
+    "Q": lambda: Presentation(FieldSpec(0), (), (), name="B"),
+    "projector": lambda: parse_presentation((INPUTS / "projector.alg").read_text()),
+    "A_t": lambda: make_aalpha(Scalar.generator(FieldSpec(1), 0)),
+    "weyl": lambda: parse_presentation(
+        "algebra W over Q generators x y relations { x*y - y*x - 1 = 0; }"),
+}
+
+
+def element(MP, X):
+    """The element sum x_ab * e_ab of M_n(B) for the matrix X, {(a, b): x_ab}
+    with 0-based positions and entries in B, each word of x_ab lifted."""
+    n, nn = MP.n, MP.n * MP.n
+    return NCPoly.from_terms(MP.field, MP.num_gens, [
+        (tuple(nn + g for g in w) + (a * n + b,), c)
+        for (a, b), x in X.items() for w, c in x.terms()])
+
+
+def conjugate(X, i, j, c):
+    """(1 + c*E_ij) X (1 - c*E_ij) for a matrix X over B and i != j: row j
+    of X is added c times to row i, then column i c times subtracted from
+    column j."""
+    Y = dict(X)
+    for (a, b), x in X.items():
+        if a == j:
+            Y[i, b] = Y[i, b] + x.scale(c) if (i, b) in Y else x.scale(c)
+    for (a, b), y in list(Y.items()):
+        if b == i:
+            Y[a, j] = Y[a, j] - y.scale(c) if (a, j) in Y else -y.scale(c)
+    return {ab: y for ab, y in Y.items() if not y.is_zero()}
+
+
+def conjugation_cases(name):
+    """(MP, X, unit) for the three idempotent matrices X and the three
+    units (i, j, c) at n = 2 and 3.  Only a corner of rank 2 inserts
+    words that end in a unit and grow the rank."""
+    B = BASES[name]()
+    c = Scalar.from_fraction(B.field, Fraction(1, 3))
+    if B.field.num_generators:
+        t = Scalar.generator(B.field, 0)
+        c = (t + Scalar.one(B.field)) / (t - Scalar.from_int(B.field, 2))
+    one = NCPoly.one(B.field, B.num_gens)
+    third = {(1, 0): one.scale(c)}  # e11 + c*e21
+    if B.num_gens:
+        third = {(0, 1): NCPoly.gen(B.field, B.num_gens, 0)}  # e11 + e12*z1
+    for n in (2, 3):
+        MP = matrix_presentation(B, n)
+        units = [(0, 1, Scalar.one(B.field)), (1, 0, c), (0, n - 1, Scalar.from_int(B.field, -2))]
+        first = {(0, 0): one} if n == 2 else {(0, 0): one, (1, 1): one}  # e11, e11 + e22
+        for X in (first, {(0, 0): one, (0, 1): one.scale(c)}, {(0, 0): one, **third}):
+            for unit in units:
+                yield MP, X, unit
+
+
+def first_full(e, MP, deepest):
+    return next((d for d in range(deepest + 1) if is_full_idempotent(e, MP, d).full), None)
+
+
+@pytest.mark.parametrize("name", BASES)
+def test_conjugation_keeps_idempotency_fullness_and_corner_dims(name):
+    cases = list(conjugation_cases(name))
+    assert len(cases) == 18
+    moved = 0
+    for MP, X, (i, j, c) in cases:
+        e, f = element(MP, X), element(MP, conjugate(X, i, j, c))
+        assert f.degree() == e.degree()
+        moved += e != f
+        assert verify_idempotent(e, MP, 4) and verify_idempotent(f, MP, 4)
+        # 2*e is no idempotent, and neither is its conjugate
+        Z = {ab: x.scale(Scalar.from_int(MP.field, 2)) for ab, x in X.items()}
+        assert not verify_idempotent(element(MP, Z), MP, 4)
+        assert not verify_idempotent(element(MP, conjugate(Z, i, j, c)), MP, 4)
+        de, df = first_full(e, MP, 2), first_full(f, MP, 2)
+        assert de is not None and df is not None
+        assert is_full_idempotent(f, MP, de + 2).full and is_full_idempotent(e, MP, df + 2).full
+        assert corner_filtered_dims(e, MP, 2) == corner_filtered_dims(f, MP, 2), (MP.n, X, i, j)
+    # e11 + e22 commutes with 1 + c*e12 and 1 + c*e21 at n = 3
+    assert moved == 16

@@ -165,19 +165,19 @@ def test_exact_fallback_when_the_heuristic_gives_up(monkeypatch):
 
 def test_rejected_evaluation_point_moves_on_to_the_next(monkeypatch):
     # the first xi's gcd image does not read back to a divisor, so the
-    # candidate is rejected and the second xi finds the gcd; for k = 1 each
-    # point is one call of the int certification step
+    # candidate is rejected and the second xi finds the gcd; each point is
+    # one call of the certification step
     f = ZPoly(1, {(1,): -4, (0,): -2})
     g = ZPoly(1, {(2,): 3, (1,): 2, (0,): -6})
     calls = []
-    certified = zpoly._certified1
+    certified = zpoly._certified
 
     def counted(*args):
         found = certified(*args)
         calls.append(found is not None)
         return found
 
-    monkeypatch.setattr(zpoly, "_certified1", counted)
+    monkeypatch.setattr(zpoly, "_certified", counted)
     h, cff, cfg = f.cofactors(g)
     assert calls == [False, True]
     assert h * cff == f and h * cfg == g
@@ -295,3 +295,34 @@ def test_grouped_horner_step_at_high_t1_degree(k, monkeypatch):
     R = int_ring(k)
     expected = dict(R.from_dict(f).gcd(R.from_dict(g)))
     assert dict(h) == expected or dict(-h) == expected
+
+
+def test_two_generator_cofactors_are_read_from_the_images(monkeypatch):
+    # the one-generator step at t1 = xi returns the gcd image and both exact
+    # cofactor images; each cofactor is read back from its image under the
+    # norm bound of k = 1, so inside it no two-generator operand is divided,
+    # and outside it (|f| = 1001, xi = 33) _exquo checks f; coprime images
+    # give h = 1 and the operands themselves
+    divided = []
+    exquo = zpoly._exquo
+
+    def counted(f, h):
+        if len(next(iter(h))) == 2:
+            divided.append(ZPoly(2, f))
+        return exquo(f, h)
+
+    monkeypatch.setattr(zpoly, "_exquo", counted)
+    t1, t2 = (Scalar.generator(FieldSpec(2), i)._num for i in range(2))
+    cases = [
+        ((t1 + t2) * (t1 + 3), (t1 + t2) * (t1 + 2), []),
+        ((t1 + t2) * (1000 * t1 + t2), (t1 + t2) * (t1 + 2), [0]),
+        ((t1 + t2) * (t1 + 3), (t1 - t2) * (t1 + 2), []),
+    ]
+    R = int_ring(2)
+    for f, g, which in cases:
+        divided.clear()
+        h, cff, cfg = f.cofactors(g)
+        assert h * cff == f and h * cfg == g
+        expected = dict(R.from_dict(f).gcd(R.from_dict(g)))
+        assert dict(h) == expected or dict(-h) == expected
+        assert divided == [(f, g)[i] for i in which]
