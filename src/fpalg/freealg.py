@@ -115,9 +115,6 @@ class NCPoly:
             raise ValueError("zero polynomial has no leading word")
         return min(self._terms, key=descending_key)
 
-    def leading_coeff(self):
-        return self._terms[self.leading_word()]
-
     def __eq__(self, other):
         if not isinstance(other, NCPoly):
             return NotImplemented
@@ -179,13 +176,22 @@ class NCPoly:
     def monic(self):
         """Divide by the leading coefficient.
 
-        The inverse is the leading coefficient's canonical pair swapped,
-        with no gcd; each product with it is still reduced by Scalar.
+        The lead is written as one, and only the tail terms are multiplied
+        by its inverse: the lead's canonical pair swapped, with no gcd.
+        Each tail product is still reduced by Scalar, and the terms keep
+        their order.
         """
-        lead = self.leading_coeff()
+        lw = self.leading_word()
+        lead = self._terms[lw]
         if lead.is_one():
             return self
-        return self.scale(lead._reciprocal())
+        inv = lead._reciprocal()
+        one = Scalar.one(self.field)
+        return NCPoly(
+            self.field,
+            self.num_gens,
+            {w: one if w == lw else c * inv for w, c in self._terms.items()},
+        )
 
     def mul_word(self, left, right):
         """a * f * b for words a, b."""

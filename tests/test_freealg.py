@@ -10,6 +10,7 @@ from fpalg import (
     Scalar,
     deglex_key,
 )
+from fpalg import zpoly
 from randgen import random_automorphism, random_poly, rich_scalar
 
 Q = FieldSpec(0)
@@ -78,6 +79,43 @@ class TestArithmetic:
             assert (f * g) * h == f * (g * h)
             assert f * (g + h) == f * g + f * h
             assert (f + g) * h == f * h + g * h
+
+
+class TestMonic:
+    def test_lead_costs_no_polynomial_gcd(self, monkeypatch):
+        calls = []
+        cofactors = zpoly.ZPoly.cofactors
+
+        def counted(f, g):
+            calls.append((f, g))
+            return cofactors(f, g)
+
+        monkeypatch.setattr(zpoly.ZPoly, "cofactors", counted)
+        x1, x2 = gens(QT)
+        t1 = Scalar.generator(QT, 0)
+        f = (x1 * x2).scale(t1 + Scalar.one(QT))
+        assert f.monic() == x1 * x2
+        assert calls == []
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_matches_scaling_by_the_inverse(self, k):
+        field = FieldSpec(k)
+        rng = random.Random(f"monic:{k}")
+        checked = 0
+        for _ in range(60):
+            f = random_poly(rng, field, 2, 3, n_terms=4, scalar=rich_scalar)
+            if f.is_zero():
+                continue
+            lw = f.leading_word()
+            got = f.monic()
+            expected = f.scale(f._terms[lw]._reciprocal())
+            assert got == expected
+            assert list(got._terms.items()) == list(expected._terms.items())
+            lead = got._terms[lw]
+            assert (type(lead._num), lead._num, lead._den) == (int, 1, 1)
+            assert got.monic() is got
+            checked += 1
+        assert checked >= 40
 
 
 class TestSubstitute:

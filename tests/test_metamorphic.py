@@ -21,6 +21,15 @@ n = 2 and 3, three idempotents (e11, or e11 + e22 at n = 3; e11 + c*e12;
 e11 + e12*z1, or e11 + c*e21 over Q) and three units each, 72 cases.
 Each element is built from its matrix over B, lifts before the unit, so e
 and its conjugate have the same degree.
+
+Relation 4, twisting by a field automorphism.  twist(P, sigma) sends every
+coefficient of P through sigma^-1, an automorphism of Q(t1), so it is an
+isomorphic algebra with the same words.  On 20 homogeneous quadratic bases
+over Q(t1), each twisted by an affine t1 -> a*t1 + b (a != 0), the Hilbert
+series to degree 5 and the corner dims of e = 1 in M_2 to depth 2 must not
+change, and f is in P exactly when f with its coefficients sent through
+sigma^-1 is in twist(P, sigma).  Both completions make elements monic whose
+leads are not constant in t1.
 """
 
 import pathlib
@@ -30,19 +39,23 @@ from fractions import Fraction
 import pytest
 
 from fpalg import (
+    FieldAutomorphism,
     FieldSpec,
     NCPoly,
     Presentation,
     Scalar,
     corner_filtered_dims,
     hilbert_series,
+    ideal_membership,
+    invert,
     is_full_idempotent,
     make_aalpha,
     matrix_presentation,
     parse_presentation,
+    twist,
     verify_idempotent,
 )
-from randgen import random_homogeneous_quadratic
+from randgen import random_homogeneous_quadratic, random_poly, rich_scalar, small_int
 
 FIELDS = {"Q": FieldSpec(0), "Q(t1)": FieldSpec(1)}
 
@@ -72,6 +85,43 @@ def test_renaming_generators_keeps_homogeneous_dims(field, seed):
     P2 = renamed(P, perm)
     assert hilbert_series(P2, 5) == hilbert_series(P, 5)
     assert corner_dims_of_one(P2) == corner_dims_of_one(P)
+
+
+def ideal_element(rng, P, degree):
+    """A nonzero sum of c * u * r * v of one degree, so a member of P."""
+    acc = NCPoly.zero(P.field, P.num_gens)
+    while acc.is_zero():
+        r = rng.choice(P.relations)
+        left = rng.randint(0, degree - 2)
+        u = tuple(rng.randrange(P.num_gens) for _ in range(left))
+        v = tuple(rng.randrange(P.num_gens) for _ in range(degree - 2 - left))
+        acc = acc + r.mul_word(u, v).scale(rich_scalar(rng, P.field, depth=2))
+    return acc
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_twisting_by_an_affine_automorphism_keeps_homogeneous_dims(seed):
+    rng = random.Random(f"twist:{seed}")
+    field = FIELDS["Q(t1)"]
+    P = random_homogeneous_quadratic(rng, field, rng.randint(2, 3), 3)
+    a, b = Fraction(1), Fraction(0)
+    while (a, b) == (1, 0):
+        a = Fraction(small_int(rng, nonzero=True), rng.randint(1, 3))
+        b = Fraction(small_int(rng), rng.randint(1, 3))
+    sigma = FieldAutomorphism.affine(field, 0, a, b)
+    P2 = twist(P, sigma)
+    assert hilbert_series(P2, 5) == hilbert_series(P, 5)
+    assert corner_dims_of_one(P2) == corner_dims_of_one(P)
+    inverse = invert(sigma)
+    members = 0
+    for f in (ideal_element(rng, P, 3), random_poly(rng, field, P.num_gens, 3, 3),
+              ideal_element(rng, P, 3) + random_poly(rng, field, P.num_gens, 2, 2)):
+        if f.is_zero():
+            continue
+        member = ideal_membership(f, P, 3).member
+        assert ideal_membership(f.map_coefficients(inverse), P2, 3).member == member
+        members += member
+    assert members >= 1
 
 
 INPUTS = pathlib.Path(__file__).parent / "golden" / "inputs"
